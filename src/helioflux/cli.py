@@ -18,7 +18,7 @@ import time
 
 from .errors import HelioFluxError
 from .heliostat import module_centres
-from .metrics import day_course
+from .metrics import ENGINES, day_course
 from .scene import load_config, with_overrides
 from . import fileio
 
@@ -29,7 +29,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a scene file")
     run.add_argument("scene", help="scene configuration file")
-    run.add_argument("--engine", choices=("grt", "conv", "both"),
+    run.add_argument("--engine", choices=ENGINES,
                      help="flux engine selection (default from the scene file)")
     run.add_argument("--out", metavar="DIR", help="output directory")
     run.add_argument("--grid", type=int, metavar="N", help="override grid cell count")
@@ -54,11 +54,10 @@ def run(config):
     try:
         report, maps = day_course(config, collect_maps=True)
 
-        for name in sorted({name for name, _ in report.cantings}):
-            spec = _heliostat_by_name(config, name)
-            layout = module_centres(spec)
-            fileio.write_canting_csv(layout, report.cantings[(name, "spherical")],
-                                     report.cantings[(name, "off_axis")],
+        for name in sorted(report.heliostats):
+            cantings = report.cantings[name]
+            fileio.write_canting_csv(module_centres(report.heliostats[name]),
+                                     cantings["spherical"], cantings["off_axis"],
                                      target(f"canting_{name}.csv"))
 
         for key in sorted(maps):
@@ -75,15 +74,6 @@ def run(config):
                 os.remove(path)
         raise
     return written
-
-
-def _heliostat_by_name(config, name):
-    for h in config.heliostats:
-        if h.name == name:
-            return h
-        if h.name + "_mirror" == name:
-            return h.mirrored()
-    raise KeyError(name)
 
 
 def main(argv=None):

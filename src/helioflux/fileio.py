@@ -74,7 +74,7 @@ def write_concentration_csv(report, path):
                          + ",".join(f"{v:.6f}" for v in report.gain[case]) + "\n")
 
 
-def write_manifest(config, report, path, extra_lines=()):
+def write_manifest(config, report, path):
     """Config echo, versions and cross-engine figures; no wall-clock content."""
     import numpy
     import scipy
@@ -90,5 +90,3 @@ def write_manifest(config, report, path, extra_lines=()):
             fh.write("\n# cross-engine RMS(grt - conv) / peak(grt)\n")
             for (label, variant, case), value in sorted(report.engine_rms.items()):
                 fh.write(f"rms.{label}.{variant}.{case} = {value:.6f}\n")
-        for line in extra_lines:
-            fh.write(line + "\n")

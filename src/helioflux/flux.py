@@ -210,11 +210,13 @@ def convolve_flux(facets, sun, shape, receiver, grid=None, dni=1.0,
 
 
 def map_add(a, b):
-    """Cell-wise sum of two maps on identical grids and DNI normalization."""
+    """Cell-wise sum of two maps on identical grids, DNI normalization and sun."""
     if a.grid != b.grid:
         raise GridMismatch("flux maps live on different grids")
     if a.dni != b.dni:
         raise GridMismatch("flux maps use different DNI normalizations")
+    if a.sun != b.sun:
+        raise GridMismatch("flux maps belong to different sun positions")
     engine = a.engine if a.engine == b.engine else "mixed"
     return FluxMap(values=a.values + b.values, grid=a.grid, dni=a.dni, engine=engine,
                    sun=a.sun, heliostat_ids=a.heliostat_ids + b.heliostat_ids,

@@ -17,7 +17,10 @@ from .heliostat import (module_centres, off_axis_canting, off_axis_context,
                         realize_modules, spherical_canting)
 
 VARIANTS = ("spherical", "off_axis")
-CASES = ("single", "symmetric_pair")
+# engine setting -> the engines it runs; the report reads the last one
+ENGINES = {"grt": ("grt",), "conv": ("conv",), "both": ("grt", "conv")}
+# case -> whether it adds the X'-mirror twin of every heliostat
+CASE_TWINS = {"single": False, "symmetric_pair": True}
 
 
 def concentration_ratio(flux_map):
@@ -48,9 +51,10 @@ class ConcentrationReport:
     ``peak[(case, variant)]`` and ``intercepted[(case, variant)]`` are
     arrays over the schedule; ``gain[case]`` is C_offaxis / C_spherical - 1
     per time (negative entries mean the off-axis canting loses at that
-    hour, which does happen far from the reference sun).  ``cantings``
-    keeps the frozen canting set per heliostat and variant, ``engine_rms``
-    the cross-engine RMS/peak figures when both engines ran.
+    hour, which does happen far from the reference sun).  ``heliostats``
+    maps the name of every simulated heliostat, mirror twins included, to
+    its spec; ``cantings[name]`` keeps its frozen canting set per variant,
+    ``engine_rms`` the cross-engine RMS/peak figures when both engines ran.
     """
 
     labels: tuple
@@ -60,36 +64,49 @@ class ConcentrationReport:
     peak: dict = field(default_factory=dict)
     intercepted: dict = field(default_factory=dict)
     gain: dict = field(default_factory=dict)
+    heliostats: dict = field(default_factory=dict)
     cantings: dict = field(default_factory=dict)
     engine_rms: dict = field(default_factory=dict)
 
 
 def _case_heliostats(scene, case):
-    if case == "single":
-        return list(scene.heliostats)
-    if case == "symmetric_pair":
-        out = list(scene.heliostats)
-        out.extend(h.mirrored() for h in scene.heliostats)
-        return out
-    raise ValueError(f"unknown case {case!r}")
+    twins = [h.mirrored() for h in scene.heliostats] if CASE_TWINS[case] else []
+    return list(scene.heliostats) + twins
 
 
-def _engine_list(engine):
-    if engine == "both":
-        return ("grt", "conv")
-    if engine in ("grt", "conv"):
-        return (engine,)
-    raise ValueError(f"unknown engine {engine!r}")
+def frozen_cantings(h, layout, reference):
+    """Canting set per variant of one heliostat, frozen at the reference sun."""
+    return {"spherical": spherical_canting(h, layout, h.slant_distance),
+            "off_axis": off_axis_canting(h, layout, off_axis_context(h, reference),
+                                         h.slant_distance)}
 
 
-def day_course(scene, schedule=None, variants=VARIANTS, cases=None, engine=None,
-               collect_maps=False):
+def heliostat_maps(scene, h, layout, cantings, sun, engines):
+    """One heliostat's flux maps at ``sun``, keyed (variant, engine)."""
+    maps = {}
+    for variant in VARIANTS:
+        facets = realize_modules(h, layout, cantings[variant], sun)
+        for eng in engines:
+            if eng == "grt":
+                maps[(variant, eng)] = trace_flux_grt(
+                    facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                    surface_samples=scene.surface_samples,
+                    radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
+                    heliostat_ids=(h.name,))
+            else:
+                maps[(variant, eng)] = convolve_flux(
+                    facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                    surface_samples=scene.surface_samples, heliostat_ids=(h.name,))
+    return maps
+
+
+def day_course(scene, schedule=None, cases=None, engine=None, collect_maps=False):
     """Simulate the schedule for every variant and case.
 
-    Canting sets are computed once per (heliostat, variant) from the scene
-    reference sun and reused across all times.  Per-heliostat maps are
-    computed once per (time, variant, engine) and composed into cases by
-    cell-wise addition, so a pair map is exactly the sum of its singles.
+    Canting sets are computed once per heliostat from the scene reference
+    sun and reused across all times.  Per-heliostat maps are computed once
+    per (time, variant, engine) and composed into cases by cell-wise
+    addition, so a pair map is exactly the sum of its singles.
 
     ``schedule``, ``cases`` and ``engine`` default to the scene settings.
     When the engine is "both", the reported numbers come from the
@@ -102,68 +119,36 @@ def day_course(scene, schedule=None, variants=VARIANTS, cases=None, engine=None,
     if len(schedule) == 0:
         raise ValueError("empty schedule")
     if cases is None:
-        cases = getattr(scene, "cases", CASES)
-    engine = engine or scene.engine
-    engines = _engine_list(engine)
-    report_engine = "conv" if engine == "both" else engine
-
-    all_heliostats = {}
-    for case in cases:
-        for h in _case_heliostats(scene, case):
-            all_heliostats[h.name] = h
-
+        cases = scene.cases
+    engines = ENGINES[engine or scene.engine]
     report = ConcentrationReport(labels=tuple(e.label for e in schedule),
-                                 cases=tuple(cases), variants=tuple(variants),
-                                 engine=report_engine)
+                                 cases=tuple(cases), variants=VARIANTS,
+                                 engine=engines[-1])
 
-    layouts = {}
-    for name, h in all_heliostats.items():
-        layouts[name] = module_centres(h)
-        for variant in variants:
-            if variant == "spherical":
-                canting = spherical_canting(h, layouts[name], h.slant_distance)
-            elif variant == "off_axis":
-                ctx = off_axis_context(h, scene.reference)
-                canting = off_axis_canting(h, layouts[name], ctx, h.slant_distance)
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
-            report.cantings[(name, variant)] = canting
+    members = {case: _case_heliostats(scene, case) for case in cases}
+    report.heliostats = {h.name: h for case in cases for h in members[case]}
+    layouts = {name: module_centres(h) for name, h in report.heliostats.items()}
+    report.cantings = {name: frozen_cantings(h, layouts[name], scene.reference)
+                       for name, h in report.heliostats.items()}
 
     maps = {}
-    for (case, variant) in ((c, v) for c in cases for v in variants):
+    for (case, variant) in ((c, v) for c in cases for v in VARIANTS):
         report.peak[(case, variant)] = np.zeros(len(schedule))
         report.intercepted[(case, variant)] = np.zeros(len(schedule))
 
     for it, entry in enumerate(schedule):
-        sun = entry.position
-        single = {}  # (name, variant, engine) -> FluxMap
-        for name, h in all_heliostats.items():
-            for variant in variants:
-                facets = realize_modules(h, layouts[name],
-                                         report.cantings[(name, variant)], sun)
-                for eng in engines:
-                    if eng == "grt":
-                        m = trace_flux_grt(facets, sun, scene.sunshape, scene.receiver,
-                                           dni=scene.dni,
-                                           surface_samples=scene.surface_samples,
-                                           radial_nodes=scene.radial_nodes,
-                                           azimuth_nodes=scene.azimuth_nodes,
-                                           heliostat_ids=(name,))
-                    else:
-                        m = convolve_flux(facets, sun, scene.sunshape, scene.receiver,
-                                          dni=scene.dni,
-                                          surface_samples=scene.surface_samples,
-                                          heliostat_ids=(name,))
-                    single[(name, variant, eng)] = m
-
+        single = {}  # drops the previous time's maps before computing new ones
+        for name, h in report.heliostats.items():
+            single[name] = heliostat_maps(scene, h, layouts[name], report.cantings[name],
+                                          entry.position, engines)
         for case in cases:
-            names = [h.name for h in _case_heliostats(scene, case)]
-            for variant in variants:
+            first, *rest = members[case]
+            for variant in VARIANTS:
                 case_maps = {}
                 for eng in engines:
-                    combined = single[(names[0], variant, eng)]
-                    for extra in names[1:]:
-                        combined = map_add(combined, single[(extra, variant, eng)])
+                    combined = single[first.name][(variant, eng)]
+                    for h in rest:
+                        combined = map_add(combined, single[h.name][(variant, eng)])
                     case_maps[eng] = combined
                     if collect_maps:
                         maps[(entry.label, variant, case, eng)] = combined
@@ -173,16 +158,14 @@ def day_course(scene, schedule=None, variants=VARIANTS, cases=None, engine=None,
                     rms = math.sqrt(float((diff * diff).mean()))
                     report.engine_rms[(entry.label, variant, case)] = \
                         rms / float(ref.values.max())
-                chosen = case_maps[report_engine]
+                chosen = case_maps[report.engine]
                 report.peak[(case, variant)][it] = concentration_ratio(chosen)
                 report.intercepted[(case, variant)][it] = intercepted_power(
                     chosen, scene.receiver.diameter)
 
     for case in cases:
-        if "spherical" in variants and "off_axis" in variants:
-            sph = report.peak[(case, "spherical")]
-            oa = report.peak[(case, "off_axis")]
-            report.gain[case] = oa / sph - 1.0
+        report.gain[case] = (report.peak[(case, "off_axis")]
+                             / report.peak[(case, "spherical")] - 1.0)
 
     if collect_maps:
         return report, maps

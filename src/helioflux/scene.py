@@ -2,30 +2,26 @@
 
 Grammar (all angles in degrees, lengths in meters):
 
-    [site]                       # optional, defaults shown
-    latitude = 45.37
-    longitude = 0.0
+    [site]                       # optional
+    latitude = <degrees North>
+    longitude = <degrees East>
 
     [sunshape]                   # optional
-    kind = limb_darkened         # or pillbox
-    half_angle_deg = 0.26643     # 4.65 mrad default
-    limb_coefficient = 0.5138
+    kind = limb_darkened | pillbox
+    half_angle_deg = <angular radius of the solar disc>
+    limb_coefficient = <c4 of B(rho) = 1 - c4 rho^4>
 
     [receiver]                   # required
-    diameter = 1.2
-    grid_extent = 4.0
-    grid_cells = 256
+    diameter = <aperture diameter>    # required
+    grid_extent = <side of the square flux grid>
+    grid_cells = <cells per side, even>
 
     [heliostat NAME]             # required, one section per heliostat
-    position = 86.6, 50.0, 0.0
-    width = 3.4
-    height = 3.0
-    modules_across = 4
-    modules_up = 2
-    module_width = 0.7
-    module_height = 1.4
-    focal_length = 100.0
-    reflectivity = 1.0
+    position = <X'>, <Y'>, <Z'>  # required, X' > 0
+    width = <m>                  # likewise height, module_width, module_height
+    modules_across = <count>     # likewise modules_up
+    focal_length = <m>
+    reflectivity = <fraction>
 
     [schedule]                   # required; exactly one of hours/angles/times
     hours = 9.0, 10.5, 12.0      # ideal equinox path at the site latitude
@@ -34,19 +30,21 @@ Grammar (all angles in degrees, lengths in meters):
     # labels = morning, noon, afternoon
 
     [reference]                  # optional
-    sun = equinox-noon           # or "<azimuth> <elevation>"
+    sun = equinox-noon | <azimuth> <elevation>
 
     [run]                        # optional
-    engine = both                # grt | conv | both
-    cases = single, symmetric_pair
-    dni = 1.0
-    out = out
-    surface_samples = 32
-    radial_nodes = 24
-    azimuth_nodes = 48
+    engine = grt | conv | both
+    cases = <comma list of single, symmetric_pair>
+    dni = <direct normal irradiance, W/m^2>
+    out = <output directory>
+    surface_samples = <per facet axis>
+    radial_nodes = <sun-cone rings>
+    azimuth_nodes = <sun-cone spokes>
 
-Unknown sections or keys are errors; every default that applies is
-recorded in the config echo.
+``KEYS`` lists every key with its type and bounds.  A key absent from the
+file takes the default of the dataclass field it fills; ``--validate-only``
+on a minimal scene prints every default.  Unknown sections or keys are
+errors; every default that applies is recorded in the config echo.
 """
 
 import configparser
@@ -56,22 +54,34 @@ from datetime import datetime, timezone
 from importlib import resources
 
 from .errors import ConfigError
+from .flux import DEFAULT_AZIMUTH_NODES, DEFAULT_RADIAL_NODES, DEFAULT_SURFACE_SAMPLES
 from .heliostat import HeliostatSpec
+from .metrics import CASE_TWINS, ENGINES
 from .receiver import GridSpec, ReceiverSpec
-from .sun import (LIMB_COEFFICIENT, SOLAR_HALF_ANGLE, ScheduleEntry, SiteSpec,
-                  SunPosition, SunshapeModel, ephemeris, hour_label,
-                  ideal_equinox_position)
+from .sun import (ScheduleEntry, SiteSpec, SunPosition, SunshapeModel, ephemeris,
+                  hour_label, ideal_equinox_position)
 
-_SECTION_KEYS = {
-    "site": {"latitude", "longitude"},
-    "sunshape": {"kind", "half_angle_deg", "limb_coefficient"},
-    "receiver": {"diameter", "grid_extent", "grid_cells"},
-    "heliostat": {"position", "width", "height", "modules_across", "modules_up",
-                  "module_width", "module_height", "focal_length", "reflectivity"},
-    "schedule": {"hours", "angles", "times", "labels"},
-    "reference": {"sun"},
-    "run": {"engine", "cases", "dni", "out", "surface_samples", "radial_nodes",
-            "azimuth_nodes"},
+# section -> key -> (type, minimum, maximum).  A type in brackets is a
+# comma-separated list of that type; a dict type takes one of its keys.
+KEYS = {
+    "site": {"latitude": (float, -90.0, 90.0), "longitude": (float, -180.0, 180.0)},
+    "sunshape": {"kind": (str, None, None), "half_angle_deg": (float, None, None),
+                 "limb_coefficient": (float, None, None)},
+    "receiver": {"diameter": (float, 0.0, None), "grid_extent": (float, 0.1, None),
+                 "grid_cells": (int, 16, None)},
+    "heliostat": {"position": ([float], None, None), "width": (float, 0.0, None),
+                  "height": (float, 0.0, None), "modules_across": (int, 1, None),
+                  "modules_up": (int, 1, None), "module_width": (float, 0.0, None),
+                  "module_height": (float, 0.0, None),
+                  "focal_length": (float, 80.0, 120.0),
+                  "reflectivity": (float, 0.0, 1.0)},
+    "schedule": {"hours": ([float], 0.0, 24.0), "angles": (str, None, None),
+                 "times": (str, None, None), "labels": ([str], None, None)},
+    "reference": {"sun": (str, None, None)},
+    "run": {"engine": (ENGINES, None, None), "cases": ([CASE_TWINS], None, None),
+            "dni": (float, 0.0, None), "out": (str, None, None),
+            "surface_samples": (int, 2, None), "radial_nodes": (int, 1, None),
+            "azimuth_nodes": (int, 4, None)},
 }
 
 
@@ -86,53 +96,42 @@ class SceneConfig:
     schedule: tuple
     reference: SunPosition
     engine: str = "both"
-    cases: tuple = ("single", "symmetric_pair")
+    cases: tuple = tuple(CASE_TWINS)
     dni: float = 1.0
     out_dir: str = "out"
-    surface_samples: int = 32
-    radial_nodes: int = 24
-    azimuth_nodes: int = 48
+    surface_samples: int = DEFAULT_SURFACE_SAMPLES
+    radial_nodes: int = DEFAULT_RADIAL_NODES
+    azimuth_nodes: int = DEFAULT_AZIMUTH_NODES
 
     def echo(self):
         """Every effective parameter as '<section>.<key> = <value>' lines."""
-        lines = [
-            f"site.latitude = {self.site.latitude!r}",
-            f"site.longitude = {self.site.longitude!r}",
-            f"sunshape.kind = {self.sunshape.kind}",
-            f"sunshape.half_angle_deg = {math.degrees(self.sunshape.half_angle)!r}",
-            f"sunshape.limb_coefficient = {self.sunshape.limb_coefficient!r}",
-            f"receiver.diameter = {self.receiver.diameter!r}",
-            f"receiver.grid_extent = {self.receiver.grid.extent_y!r}",
-            f"receiver.grid_cells = {self.receiver.grid.cells_y!r}",
-        ]
-        for h in self.heliostats:
-            p = f"heliostat.{h.name}"
-            lines += [
-                f"{p}.position = {h.position[0]!r}, {h.position[1]!r}, {h.position[2]!r}",
-                f"{p}.width = {h.width!r}",
-                f"{p}.height = {h.height!r}",
-                f"{p}.modules_across = {h.modules_across}",
-                f"{p}.modules_up = {h.modules_up}",
-                f"{p}.module_width = {h.module_width!r}",
-                f"{p}.module_height = {h.module_height!r}",
-                f"{p}.focal_length = {h.focal_length!r}",
-                f"{p}.reflectivity = {h.reflectivity!r}",
-            ]
-        for entry in self.schedule:
-            lines.append(f"schedule.{entry.label} = azimuth {entry.position.azimuth!r}, "
-                         f"elevation {entry.position.elevation!r}")
-        lines += [
-            f"reference.sun = azimuth {self.reference.azimuth!r}, "
-            f"elevation {self.reference.elevation!r}",
-            f"run.engine = {self.engine}",
-            f"run.cases = {', '.join(self.cases)}",
-            f"run.dni = {self.dni!r}",
-            f"run.out = {self.out_dir}",
-            f"run.surface_samples = {self.surface_samples}",
-            f"run.radial_nodes = {self.radial_nodes}",
-            f"run.azimuth_nodes = {self.azimuth_nodes}",
-        ]
+        grid = self.receiver.grid
+        shown = {
+            "site": vars(self.site),
+            "sunshape": {**vars(self.sunshape),
+                         "half_angle_deg": math.degrees(self.sunshape.half_angle)},
+            "receiver": {"diameter": self.receiver.diameter,
+                         "grid_extent": grid.extent_y, "grid_cells": grid.cells_y},
+        }
+        lines = [f"{section}.{key} = {_text(values[key])}"
+                 for section, values in shown.items() for key in KEYS[section]]
+        lines += [f"heliostat.{h.name}.{key} = {_text(getattr(h, key))}"
+                  for h in self.heliostats for key in KEYS["heliostat"]]
+        lines += [f"schedule.{e.label} = {_sun_text(e.position)}" for e in self.schedule]
+        lines.append(f"reference.sun = {_sun_text(self.reference)}")
+        run = {**vars(self), "out": self.out_dir}
+        lines += [f"run.{key} = {_text(run[key])}" for key in KEYS["run"]]
         return lines
+
+
+def _text(value):
+    if isinstance(value, tuple):
+        return ", ".join(_text(item) for item in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _sun_text(pos):
+    return f"azimuth {pos.azimuth!r}, elevation {pos.elevation!r}"
 
 
 def table1_scene_path():
@@ -140,99 +139,94 @@ def table1_scene_path():
     return str(resources.files("helioflux").joinpath("data/table1.scene"))
 
 
-def _get_float(section, key, raw, minimum=None, maximum=None):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: {raw!r} is not a number") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{section}] {key}: {value} below minimum {minimum}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"[{section}] {key}: {value} above maximum {maximum}")
-    return value
-
-
-def _get_int(section, key, raw, minimum=None):
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: {raw!r} is not an integer") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{section}] {key}: {value} below minimum {minimum}")
-    return value
-
-
 def _split_list(raw):
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
-def _parse_heliostat(name, items):
-    known = _SECTION_KEYS["heliostat"]
-    for key in items:
-        if key not in known:
-            raise ConfigError(f"[heliostat {name}] unknown key {key!r}")
-    if "position" not in items:
-        raise ConfigError(f"[heliostat {name}] missing required key 'position'")
-    coords = _split_list(items["position"])
-    if len(coords) != 3:
-        raise ConfigError(f"[heliostat {name}] position needs three coordinates")
-    position = tuple(_get_float(f"heliostat {name}", "position", c) for c in coords)
-    if position[0] <= 0.0:
-        raise ConfigError(f"[heliostat {name}] position: X' must be positive so the "
-                          "receiver front face sees the heliostat")
-    sec = f"heliostat {name}"
-    focal = _get_float(sec, "focal_length", items.get("focal_length", "100.0"),
-                       minimum=80.0, maximum=120.0)
+def _bounded(where, key, value, minimum, maximum):
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"[{where}] {key}: {value} below minimum {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"[{where}] {key}: {value} above maximum {maximum}")
+    return value
+
+
+def _parse(where, key, raw, kind, minimum, maximum):
+    """One typed, bounds-checked value; a ConfigError names the key otherwise."""
+    if isinstance(kind, list):
+        return tuple(_parse(where, key, item, kind[0], minimum, maximum)
+                     for item in _split_list(raw))
+    if isinstance(kind, dict):
+        if raw.strip() not in kind:
+            raise ConfigError(f"[{where}] {key}: {raw.strip()!r} is not one of "
+                              f"{', '.join(kind)}")
+        return raw.strip()
+    if kind is str:
+        return raw.strip()
     try:
-        return HeliostatSpec(
-            position=position,
-            width=_get_float(sec, "width", items.get("width", "3.4"), minimum=0.0),
-            height=_get_float(sec, "height", items.get("height", "3.0"), minimum=0.0),
-            modules_across=_get_int(sec, "modules_across",
-                                    items.get("modules_across", "4"), minimum=1),
-            modules_up=_get_int(sec, "modules_up", items.get("modules_up", "2"),
-                                minimum=1),
-            module_width=_get_float(sec, "module_width",
-                                    items.get("module_width", "0.7"), minimum=0.0),
-            module_height=_get_float(sec, "module_height",
-                                     items.get("module_height", "1.4"), minimum=0.0),
-            focal_length=focal,
-            reflectivity=_get_float(sec, "reflectivity",
-                                    items.get("reflectivity", "1.0"),
-                                    minimum=0.0, maximum=1.0),
-            name=name,
-        )
+        value = kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{where}] {key}: {raw!r} is not {noun}") from None
+    return _bounded(where, key, value, minimum, maximum)
+
+
+def _section(section, items, where=None, required=()):
+    """The values a section gives, by key; keys it leaves out keep their defaults."""
+    where = where or section
+    keys = KEYS[section]
+    for key in items:
+        if key not in keys:
+            raise ConfigError(f"[{where}] unknown key {key!r}")
+    for key in required:
+        if key not in items:
+            raise ConfigError(f"[{where}] missing required key {key!r}")
+    return {key: _parse(where, key, raw, *keys[key]) for key, raw in items.items()}
+
+
+def _build(where, make, *args, **values):
+    try:
+        return make(*args, **values)
     except ValueError as exc:
-        raise ConfigError(f"[heliostat {name}] {exc}") from None
+        raise ConfigError(f"[{where}] {exc}") from None
+
+
+def _parse_heliostat(name, items):
+    where = f"heliostat {name}"
+    values = _section("heliostat", items, where, required=("position",))
+    if len(values["position"]) != 3:
+        raise ConfigError(f"[{where}] position needs three coordinates")
+    if values["position"][0] <= 0.0:
+        raise ConfigError(f"[{where}] position: X' must be positive so the "
+                          "receiver front face sees the heliostat")
+    return _build(where, HeliostatSpec, name=name, **values)
 
 
 def _parse_schedule(items, site):
-    modes = [k for k in ("hours", "angles", "times") if k in items]
+    values = _section("schedule", items)
+    modes = [k for k in ("hours", "angles", "times") if k in values]
     if len(modes) != 1:
         raise ConfigError("[schedule] needs exactly one of 'hours', 'angles' or 'times'")
-    labels = _split_list(items["labels"]) if "labels" in items else None
+    labels = values.get("labels")
     entries = []
 
     if modes[0] == "hours":
-        hours = [_get_float("schedule", "hours", h, minimum=0.0, maximum=24.0)
-                 for h in _split_list(items["hours"])]
-        for k, hour in enumerate(hours):
+        for k, hour in enumerate(values["hours"]):
             pos = ideal_equinox_position(site.latitude, hour)
             label = labels[k] if labels else hour_label(hour)
             entries.append((label, pos))
     elif modes[0] == "angles":
-        pairs = [p.strip() for p in items["angles"].split(";") if p.strip()]
+        pairs = [p.strip() for p in values["angles"].split(";") if p.strip()]
         for k, pair in enumerate(pairs):
             parts = pair.split()
             if len(parts) != 2:
                 raise ConfigError(f"[schedule] angles: entry {k}: expected "
                                   f"'<azimuth> <elevation>', got {pair!r}")
-            az = _get_float("schedule", "angles", parts[0])
-            el = _get_float("schedule", "angles", parts[1])
+            az, el = (_parse("schedule", "angles", p, float, None, None) for p in parts)
             label = labels[k] if labels else f"t{k:02d}"
             entries.append((label, SunPosition(azimuth=az, elevation=el)))
     else:
-        stamps = [p.strip() for p in items["times"].split(";") if p.strip()]
+        stamps = [p.strip() for p in values["times"].split(";") if p.strip()]
         for k, stamp in enumerate(stamps):
             try:
                 t = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
@@ -262,7 +256,7 @@ def _parse_schedule(items, site):
 
 
 def _parse_reference(items, site):
-    raw = items.get("sun", "equinox-noon").strip()
+    raw = _section("reference", items).get("sun", "equinox-noon")
     if raw == "equinox-noon":
         if not 0.0 < site.latitude < 90.0:
             raise ConfigError("[reference] equinox-noon needs a site latitude in "
@@ -272,8 +266,7 @@ def _parse_reference(items, site):
     if len(parts) != 2:
         raise ConfigError("[reference] sun: expected 'equinox-noon' or "
                           "'<azimuth> <elevation>'")
-    az = _get_float("reference", "sun", parts[0])
-    el = _get_float("reference", "sun", parts[1])
+    az, el = (_parse("reference", "sun", p, float, None, None) for p in parts)
     if el <= 0.0:
         raise ConfigError(f"[reference] sun elevation {el} deg is not above the horizon")
     return SunPosition(azimuth=az, elevation=el)
@@ -306,7 +299,7 @@ def load_config(path):
             if name in heliostat_sections:
                 raise ConfigError(f"duplicate heliostat name {name!r}")
             heliostat_sections[name] = dict(sections.pop(section))
-        elif section not in _SECTION_KEYS:
+        elif section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
 
     missing = []
@@ -319,98 +312,54 @@ def load_config(path):
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
 
-    for section in ("site", "sunshape", "receiver", "schedule", "reference", "run"):
-        for key in sections.get(section, {}):
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"[{section}] unknown key {key!r}")
+    site = _build("site", SiteSpec, **_section("site", sections.get("site", {})))
 
-    site_items = sections.get("site", {})
-    site = SiteSpec(
-        latitude=_get_float("site", "latitude", site_items.get("latitude", "45.37"),
-                            minimum=-90.0, maximum=90.0),
-        longitude=_get_float("site", "longitude", site_items.get("longitude", "0.0"),
-                             minimum=-180.0, maximum=180.0),
-    )
+    shape = _section("sunshape", sections.get("sunshape", {}))
+    if "half_angle_deg" in shape:
+        shape["half_angle"] = math.radians(shape.pop("half_angle_deg"))
+    sunshape = _build("sunshape", SunshapeModel, **shape)
 
-    shape_items = sections.get("sunshape", {})
-    kind = shape_items.get("kind", "limb_darkened").strip()
-    if "half_angle_deg" in shape_items:
-        half_angle = math.radians(_get_float("sunshape", "half_angle_deg",
-                                             shape_items["half_angle_deg"]))
-    else:
-        half_angle = SOLAR_HALF_ANGLE
-    try:
-        sunshape = SunshapeModel(
-            kind=kind, half_angle=half_angle,
-            limb_coefficient=_get_float("sunshape", "limb_coefficient",
-                                        shape_items.get("limb_coefficient",
-                                                        str(LIMB_COEFFICIENT))))
-    except ValueError as exc:
-        raise ConfigError(f"[sunshape] {exc}") from None
-
-    recv_items = sections["receiver"]
-    if "diameter" not in recv_items:
-        raise ConfigError("[receiver] missing required key 'diameter'")
-    try:
-        grid = GridSpec(
-            extent_y=_get_float("receiver", "grid_extent",
-                                recv_items.get("grid_extent", "4.0"), minimum=0.1),
-            extent_z=_get_float("receiver", "grid_extent",
-                                recv_items.get("grid_extent", "4.0"), minimum=0.1),
-            cells_y=_get_int("receiver", "grid_cells",
-                             recv_items.get("grid_cells", "256"), minimum=16),
-            cells_z=_get_int("receiver", "grid_cells",
-                             recv_items.get("grid_cells", "256"), minimum=16),
-        )
-        receiver = ReceiverSpec(
-            diameter=_get_float("receiver", "diameter", recv_items["diameter"],
-                                minimum=0.0),
-            grid=grid)
-    except ValueError as exc:
-        raise ConfigError(f"[receiver] {exc}") from None
+    recv = _section("receiver", sections["receiver"], required=("diameter",))
+    grid = {}
+    if "grid_extent" in recv:
+        grid["extent_y"] = grid["extent_z"] = recv.pop("grid_extent")
+    if "grid_cells" in recv:
+        grid["cells_y"] = grid["cells_z"] = recv.pop("grid_cells")
+    receiver = _build("receiver", ReceiverSpec, grid=_build("receiver", GridSpec, **grid),
+                      **recv)
 
     heliostats = tuple(_parse_heliostat(name, items)
                        for name, items in heliostat_sections.items())
     schedule = _parse_schedule(sections["schedule"], site)
     reference = _parse_reference(sections.get("reference", {}), site)
 
-    run_items = sections.get("run", {})
-    engine = run_items.get("engine", "both").strip()
-    if engine not in ("grt", "conv", "both"):
-        raise ConfigError(f"[run] engine: {engine!r} is not one of grt, conv, both")
-    cases = tuple(_split_list(run_items.get("cases", "single, symmetric_pair")))
-    for case in cases:
-        if case not in ("single", "symmetric_pair"):
-            raise ConfigError(f"[run] cases: unknown case {case!r}")
-    if not cases:
+    run = _section("run", sections.get("run", {}))
+    if run.get("cases") == ():
         raise ConfigError("[run] cases: at least one case is required")
-
-    return SceneConfig(
-        site=site, sunshape=sunshape, receiver=receiver, heliostats=heliostats,
-        schedule=schedule, reference=reference, engine=engine, cases=cases,
-        dni=_get_float("run", "dni", run_items.get("dni", "1.0"), minimum=0.0),
-        out_dir=run_items.get("out", "out").strip(),
-        surface_samples=_get_int("run", "surface_samples",
-                                 run_items.get("surface_samples", "32"), minimum=2),
-        radial_nodes=_get_int("run", "radial_nodes",
-                              run_items.get("radial_nodes", "24"), minimum=1),
-        azimuth_nodes=_get_int("run", "azimuth_nodes",
-                               run_items.get("azimuth_nodes", "48"), minimum=4),
-    )
+    if "out" in run:
+        run["out_dir"] = run.pop("out")
+    return SceneConfig(site=site, sunshape=sunshape, receiver=receiver,
+                       heliostats=heliostats, schedule=schedule, reference=reference,
+                       **run)
 
 
 def with_overrides(config, engine=None, out_dir=None, grid_cells=None,
                    surface_samples=None):
-    """Apply command-line overrides, returning a new SceneConfig."""
+    """Apply command-line overrides, returning a new SceneConfig.
+
+    The grid and sampling overrides meet the scene file's bounds.
+    """
     if engine is not None:
         config = replace(config, engine=engine)
     if out_dir is not None:
         config = replace(config, out_dir=out_dir)
     if grid_cells is not None:
-        grid = GridSpec(extent_y=config.receiver.grid.extent_y,
-                        extent_z=config.receiver.grid.extent_z,
-                        cells_y=grid_cells, cells_z=grid_cells)
+        _bounded("receiver", "grid_cells", grid_cells, *KEYS["receiver"]["grid_cells"][1:])
+        grid = _build("receiver", replace, config.receiver.grid,
+                      cells_y=grid_cells, cells_z=grid_cells)
         config = replace(config, receiver=replace(config.receiver, grid=grid))
     if surface_samples is not None:
+        _bounded("run", "surface_samples", surface_samples,
+                 *KEYS["run"]["surface_samples"][1:])
         config = replace(config, surface_samples=surface_samples)
     return config

@@ -44,8 +44,8 @@ class SunPosition:
 class SiteSpec:
     """Geographic site, degrees North / degrees East."""
 
-    latitude: float
-    longitude: float
+    latitude: float = 45.37
+    longitude: float = 0.0
 
     def __post_init__(self):
         if abs(self.latitude) > 90.0:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import helioflux as hf
 from helioflux.cli import main
 
 FAST_SCENE = """
@@ -142,3 +143,104 @@ def test_two_runs_are_bit_identical(fast_scene, tmp_path):
         else:
             assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name),
                                shallow=False), name
+
+
+# --- configuration echo and command-line overrides --------------------------------
+
+MINIMAL_SCENE = """
+[receiver]
+diameter = 1.2
+
+[heliostat h1]
+position = 86.6, 50.0, 0.0
+
+[schedule]
+hours = 12.0
+"""
+
+# every default, in echo order, as --validate-only prints it for MINIMAL_SCENE
+MINIMAL_ECHO = """\
+site.latitude = 45.37
+site.longitude = 0.0
+sunshape.kind = limb_darkened
+sunshape.half_angle_deg = 0.2664253747358328
+sunshape.limb_coefficient = 0.5138
+receiver.diameter = 1.2
+receiver.grid_extent = 4.0
+receiver.grid_cells = 256
+heliostat.h1.position = 86.6, 50.0, 0.0
+heliostat.h1.width = 3.4
+heliostat.h1.height = 3.0
+heliostat.h1.modules_across = 4
+heliostat.h1.modules_up = 2
+heliostat.h1.module_width = 0.7
+heliostat.h1.module_height = 1.4
+heliostat.h1.focal_length = 100.0
+heliostat.h1.reflectivity = 1.0
+schedule.12h00 = azimuth 0.0, elevation 44.63000000000001
+reference.sun = azimuth 0.0, elevation 44.63
+run.engine = both
+run.cases = single, symmetric_pair
+run.dni = 1.0
+run.out = out
+run.surface_samples = 32
+run.radial_nodes = 24
+run.azimuth_nodes = 48
+"""
+
+TABLE1_ECHO = """\
+site.latitude = 45.37
+site.longitude = 0.0
+sunshape.kind = limb_darkened
+sunshape.half_angle_deg = 0.1432394487827058
+sunshape.limb_coefficient = 0.5138
+receiver.diameter = 1.2
+receiver.grid_extent = 4.0
+receiver.grid_cells = 256
+heliostat.h1.position = 86.6, 50.0, 0.0
+heliostat.h1.width = 3.4
+heliostat.h1.height = 3.0
+heliostat.h1.modules_across = 4
+heliostat.h1.modules_up = 2
+heliostat.h1.module_width = 0.7
+heliostat.h1.module_height = 1.4
+heliostat.h1.focal_length = 100.0
+heliostat.h1.reflectivity = 1.0
+schedule.09h00 = azimuth -54.562127788120996, elevation 29.785922544055193
+schedule.10h30 = azimuth -30.201114952377523, elevation 40.469952608874586
+schedule.12h00 = azimuth 0.0, elevation 44.63000000000001
+schedule.13h30 = azimuth 30.201114952377523, elevation 40.469952608874586
+schedule.15h00 = azimuth 54.562127788120996, elevation 29.785922544055193
+reference.sun = azimuth 0.0, elevation 44.63
+run.engine = both
+run.cases = single, symmetric_pair
+run.dni = 1.0
+run.out = out
+run.surface_samples = 32
+run.radial_nodes = 24
+run.azimuth_nodes = 48
+"""
+
+
+@pytest.mark.parametrize("body, expected", [(MINIMAL_SCENE, MINIMAL_ECHO),
+                                            (None, TABLE1_ECHO)],
+                         ids=["minimal", "table1"])
+def test_validate_only_echo_is_golden(body, expected, tmp_path, capsys):
+    path = hf.table1_scene_path()
+    if body is not None:
+        path = tmp_path / "minimal.scene"
+        path.write_text(body, encoding="utf-8")
+    assert main(["run", str(path), "--validate-only"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("override", [["--grid", "7"], ["--grid", "0"], ["--grid", "8"],
+                                      ["--grid", "17"], ["--samples", "0"],
+                                      ["--samples", "1"]], ids="=".join)
+def test_cli_override_outside_scene_bounds(override, fast_scene, tmp_path, capsys):
+    out_dir = tmp_path / "rejected"
+    assert main(["run", fast_scene, "--out", str(out_dir)] + override) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ConfigError:")
+    assert not out_dir.exists()

@@ -215,6 +215,13 @@ def test_map_add_rejects_mismatched_grids():
         hf.map_add(a, c)
 
 
+def test_map_add_rejects_maps_of_different_suns():
+    a = make_map(np.zeros((4, 4)))
+    b = make_map(np.zeros((4, 4)), sun=hf.SunPosition(azimuth=30.0, elevation=45.0))
+    with pytest.raises(GridMismatch):
+        hf.map_add(a, b)
+
+
 def test_map_add_merges_heliostat_ids():
     a = make_map(np.zeros((4, 4)), heliostat_ids=("h1",))
     b = make_map(np.zeros((4, 4)), heliostat_ids=("h2",))
