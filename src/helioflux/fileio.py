@@ -27,9 +27,9 @@ def write_flux_csv(flux_map, path):
                  f"spill_fraction = {stats['spill_fraction']!r}\n")
         fh.write("# rows: z' descending from +extent/2; columns: y' ascending\n")
         image = flux_map.values.T[::-1, :]  # (z rows top-down, y columns)
+        row_format = ",".join(["%.9e"] * image.shape[1]) + "\n"
         for row in image:
-            fh.write(",".join(f"{v:.9e}" for v in row))
-            fh.write("\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def write_flux_pgm(flux_map, path):

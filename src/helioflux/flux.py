@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import BacklitMirror, GridMismatch, GridTooSmall
+from .errors import BacklitMirror, GridMismatch, GridTooSmall, HelioFluxError
 # GridSpec and ReceiverSpec are re-exported here: the receiver-plane types
 # are part of this module's working surface
 from .receiver import RECEIVER_NORMAL, GridSpec, ReceiverSpec  # noqa: F401
@@ -57,17 +57,10 @@ class FluxMap:
         return float(self.values.sum() * self.grid.cell_area * self.dni)
 
 
-def _deposit(y, z, weights, grid):
-    """Bin landing points into the grid; returns (power array, spilled power)."""
-    cell = grid.cell_size
-    iy = np.floor((y + 0.5 * grid.extent_y) / cell).astype(np.int64)
-    iz = np.floor((z + 0.5 * grid.extent_z) / cell).astype(np.int64)
-    ok = (iy >= 0) & (iy < grid.cells_y) & (iz >= 0) & (iz < grid.cells_z)
-    flat = iy[ok] * grid.cells_z + iz[ok]
-    power = np.bincount(flat, weights=weights[ok],
-                        minlength=grid.cells_y * grid.cells_z)
-    spilled = float(weights.sum() - weights[ok].sum())
-    return power.reshape(grid.cells_y, grid.cells_z), spilled
+# Rays per chunk of the ray loop: enough to amortise numpy's per-call cost,
+# few enough that a chunk's temporaries stay in cache.  Chunks are whole
+# sample rows, so the one-direction spot path traces a facet in one chunk.
+_CHUNK_RAYS = 32768
 
 
 def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_samples):
@@ -77,9 +70,21 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
     weight.  Rays that leave the grid or travel away from the receiver
     plane count as spill.  A facet back-lit by the central sun direction is
     an error.
+
+    Each facet is traced in chunks of sample rows, working in place, into
+    one flat bin index and one weight per ray.  One ``bincount`` per facet
+    then deposits its rays in ray order; bin ``cells`` past the grid
+    collects the spill.
     """
+    cells = grid.cells_y * grid.cells_z
     power = np.zeros((grid.cells_y, grid.cells_z))
     spilled = 0.0
+    n_samples, n_dirs = surface_samples * surface_samples, len(sun_dirs)
+    rows = max(1, _CHUNK_RAYS // n_dirs)
+    sx, sy, sz = (np.ascontiguousarray(sun_dirs[:, k]) for k in range(3))
+    half_y, half_z, cell = 0.5 * grid.extent_y, 0.5 * grid.extent_z, grid.cell_size
+    work = np.empty((4, min(rows, n_samples), n_dirs))
+    flags = np.empty((2, min(rows, n_samples), n_dirs), dtype=bool)
     for facet in facets:
         points, normals, cell_area = facet.sample_grid(surface_samples)
         central_cos = (normals[:, 0] * central_sun[0] + normals[:, 1] * central_sun[1]
@@ -87,36 +92,60 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
         if np.any(central_cos <= 0.0):
             raise BacklitMirror("facet is back-lit at the current sun position")
 
-        # cos of incidence per (surface, direction) pair
-        cos_i = (normals[:, None, 0] * sun_dirs[None, :, 0]
-                 + normals[:, None, 1] * sun_dirs[None, :, 1]
-                 + normals[:, None, 2] * sun_dirs[None, :, 2])
-        # outgoing direction R = 2 (S.n) n - S for every pair
-        out_x = 2.0 * cos_i * normals[:, None, 0] - sun_dirs[None, :, 0]
-        out_y = 2.0 * cos_i * normals[:, None, 1] - sun_dirs[None, :, 1]
-        out_z = 2.0 * cos_i * normals[:, None, 2] - sun_dirs[None, :, 2]
+        scale = dni * cell_area * facet.reflectivity
+        bins = np.empty((n_samples, n_dirs), dtype=np.int64)
+        weights = np.empty((n_samples, n_dirs))
+        for start in range(0, n_samples, rows):
+            stop = min(start + rows, n_samples)
+            px, py, pz = (points[start:stop, k, None] for k in range(3))
+            nx, ny, nz = (normals[start:stop, k, None] for k in range(3))
+            cos_i, out_x, out_y, out_z = work[:, :stop - start]
+            on_grid, test = flags[:, :stop - start]
+            weight = weights[start:stop]
 
-        # grazing cone directions below the local facet horizon carry no power
-        weights = ((dni * cell_area * facet.reflectivity)
-                   * np.maximum(cos_i, 0.0) * dir_weights[None, :])
+            # cos of incidence per (surface, direction) pair
+            np.multiply(nx, sx, out=cos_i)
+            cos_i += np.multiply(ny, sy, out=out_x)
+            cos_i += np.multiply(nz, sz, out=out_x)
+            # grazing cone directions below the local facet horizon carry no power
+            np.maximum(cos_i, 0.0, out=weight)
+            weight *= scale
+            weight *= dir_weights
+            # outgoing direction R = (2 cos_i) n - S for every pair
+            cos_i *= 2.0
+            np.subtract(np.multiply(cos_i, nx, out=out_x), sx, out=out_x)
+            np.subtract(np.multiply(cos_i, ny, out=out_y), sy, out=out_y)
+            np.subtract(np.multiply(cos_i, nz, out=out_z), sz, out=out_z)
 
-        # intersection with the receiver plane x' = 0
-        towards = out_x < 0.0
-        t = np.where(towards, -points[:, None, 0] / np.where(towards, out_x, -1.0), np.nan)
-        land_y = points[:, None, 1] + t * out_y
-        land_z = points[:, None, 2] + t * out_z
+            # intersection with the receiver plane x' = 0, then the cell
+            # coordinates floor((y + extent/2) / cell).  Rays travelling away
+            # from the plane or grazing it may reach inf or nan here; the
+            # on-grid test below rejects those before any cast.
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                t = np.divide(-px, out_x, out=cos_i)
+                for land, p, half in ((out_y, py, half_y), (out_z, pz, half_z)):
+                    land *= t
+                    land += p
+                    land += half
+                    land /= cell
+                    np.floor(land, out=land)
+            np.less(out_x, 0.0, out=on_grid)
+            on_grid &= np.greater_equal(out_y, 0.0, out=test)
+            on_grid &= np.less(out_y, grid.cells_y, out=test)
+            on_grid &= np.greater_equal(out_z, 0.0, out=test)
+            on_grid &= np.less(out_z, grid.cells_z, out=test)
 
-        stray = ~towards
-        if np.any(stray):
-            spilled += float(weights[stray].sum())
-            weights = np.where(stray, 0.0, weights)
-            land_y = np.where(stray, 1e9, land_y)  # far off-grid, zero weight
-            land_z = np.where(stray, 1e9, land_z)
+            # every other ray goes to the spill bin, row cells_y of column 0
+            off_grid = np.logical_not(on_grid, out=on_grid)
+            np.copyto(out_y, grid.cells_y, where=off_grid)
+            np.copyto(out_z, 0.0, where=off_grid)
+            out_y *= grid.cells_z
+            out_y += out_z
+            bins[start:stop] = out_y  # whole numbers, exact below 2**53
 
-        facet_power, facet_spill = _deposit(land_y.ravel(), land_z.ravel(),
-                                            weights.ravel(), grid)
-        power += facet_power
-        spilled += facet_spill
+        facet_power = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=cells + 1)
+        power += facet_power[:cells].reshape(grid.cells_y, grid.cells_z)
+        spilled += float(facet_power[cells])
     return power, spilled
 
 
@@ -179,16 +208,24 @@ def convolve_flux(facets, sun, shape, receiver, grid=None, dni=1.0,
 
     Pass the facets of a single heliostat: the kernel is built once at
     their mean centre.  Compose multi-heliostat maps with ``map_add``.
+    A facet centre farther from the mean than one heliostat diagonal
+    raises ``HelioFluxError``.  The facets do not know their heliostat, so
+    its diagonal is taken as the sum of the facet diagonals, the diagonal
+    of the modules laid corner to corner.
     """
     if grid is None:
         grid = receiver.grid
+    centre = np.mean([f.centre for f in facets], axis=0)
+    diagonal = sum(math.hypot(f.width, f.height) for f in facets)
+    if max(float(np.linalg.norm(f.centre - centre)) for f in facets) > diagonal:
+        raise HelioFluxError("convolve_flux takes the facets of one heliostat; "
+                             "compose heliostats with map_add")
     stage1 = geometric_spot(facets, sun, receiver, grid=grid, dni=dni,
                             surface_samples=surface_samples,
                             heliostat_ids=heliostat_ids)
     spot = stage1.values
     spilled = stage1.spilled_power
 
-    centre = np.mean([f.centre for f in facets], axis=0)
     path_length = float(np.sqrt(centre @ centre))
     beam = -centre / path_length
     kernel = build_kernel(shape, path_length, beam, RECEIVER_NORMAL, grid)

@@ -15,6 +15,7 @@ conventionally quoted as twice the mirror-normal rotation (the reflected
 ray deflection) in milliradians; ``canting_report`` applies that factor.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -251,6 +252,35 @@ def canting_rotation(a, h):
     return _rot_y(h) @ _rot_z(-a)
 
 
+def _cap_surface(focal_length, u, v):
+    """Facet-local points (sag, u, v) and unit normals of the module cap."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if focal_length is None or math.isinf(focal_length):
+        sag = np.zeros_like(u)
+        n_local = np.stack((np.ones_like(u), sag, sag), axis=-1)
+    else:
+        r_curv = 2.0 * focal_length
+        sag = r_curv - np.sqrt(r_curv * r_curv - u * u - v * v)
+        n_local = np.stack(((r_curv - sag) / r_curv, -u / r_curv, -v / r_curv), axis=-1)
+    return np.stack((sag, u, v), axis=-1), n_local
+
+
+@functools.lru_cache(maxsize=4)
+def _local_sample_grid(width, height, focal_length, samples):
+    """Facet-local midpoint grid of a module shape, shared read-only by all
+    facets of that shape: only the rotation into world axes differs."""
+    du = width / samples
+    dv = height / samples
+    u = (np.arange(samples) + 0.5) * du - 0.5 * width
+    v = (np.arange(samples) + 0.5) * dv - 0.5 * height
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    p_local, n_local = _cap_surface(focal_length, uu.ravel(), vv.ravel())
+    p_local.setflags(write=False)
+    n_local.setflags(write=False)
+    return p_local, n_local, du * dv
+
+
 @dataclass(frozen=True)
 class Facet:
     """One oriented mirror module: a spherical cap around its centre.
@@ -275,29 +305,14 @@ class Facet:
         sagging toward the focus, with normals pointing at the curvature
         centre.  Returns world arrays shaped like u + (3,).
         """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.focal_length is None or math.isinf(self.focal_length):
-            sag = np.zeros_like(u)
-            n_local = np.stack((np.ones_like(u), sag, sag), axis=-1)
-        else:
-            r_curv = 2.0 * self.focal_length
-            sag = r_curv - np.sqrt(r_curv * r_curv - u * u - v * v)
-            n_local = np.stack(((r_curv - sag) / r_curv, -u / r_curv, -v / r_curv), axis=-1)
-        p_local = np.stack((sag, u, v), axis=-1)
-        points = self.centre + p_local @ self.axes.T
-        normals = n_local @ self.axes.T
-        return points, normals
+        p_local, n_local = _cap_surface(self.focal_length, u, v)
+        return self.centre + p_local @ self.axes.T, n_local @ self.axes.T
 
     def sample_grid(self, samples):
         """Midpoint sample grid over the module: (points, normals, cell_area)."""
-        du = self.width / samples
-        dv = self.height / samples
-        u = (np.arange(samples) + 0.5) * du - 0.5 * self.width
-        v = (np.arange(samples) + 0.5) * dv - 0.5 * self.height
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        points, normals = self.surface(uu.ravel(), vv.ravel())
-        return points, normals, du * dv
+        p_local, n_local, cell_area = _local_sample_grid(self.width, self.height,
+                                                         self.focal_length, samples)
+        return self.centre + p_local @ self.axes.T, n_local @ self.axes.T, cell_area
 
     @property
     def area(self):

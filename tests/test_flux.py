@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import helioflux as hf
-from helioflux.errors import BacklitMirror, GridMismatch, GridTooSmall
+from helioflux import flux
+from helioflux.errors import BacklitMirror, GridMismatch, GridTooSmall, HelioFluxError
 
 # Heliostat placed below the receiver so the target direction has elevation
 # 30 degrees; a sun at (0, 30) then hits every facet at normal incidence.
@@ -30,6 +31,17 @@ def analytic_aperture_power(facets, sun, dni=1.0):
         _, normal = facet.surface(0.0, 0.0)
         total += facet.area * float(normal @ s) * facet.reflectivity * dni
     return total
+
+
+def mirrored_pair_facets(sun):
+    """Facet lists of the reference heliostat and of its mirror twin."""
+    h1 = hf.HeliostatSpec(name="h1")
+    facet_sets = []
+    for h in (h1, h1.mirrored()):
+        layout = hf.module_centres(h)
+        canting = hf.spherical_canting(h, layout, h.slant_distance)
+        facet_sets.append(hf.realize_modules(h, layout, canting, sun))
+    return facet_sets
 
 
 def reference_facets(variant="off_axis", sun=None):
@@ -114,6 +126,111 @@ def test_grt_energy_conservation_reference_scene():
     assert m4.total_power + m4.spilled_power == pytest.approx(expected, rel=1e-3)
 
 
+def test_grt_grazing_and_receding_rays_spill_without_warnings():
+    # Facet A faces the receiver square on, facet B is tilted toward it and
+    # facet C away from it.  Only A's rays of the first direction land on the
+    # grid.  A's other rays reflect with out_x = -1e-300 (landing ~1e301 m
+    # off the grid), -1e-310 (t overflows to inf and inf * 0 is nan), exactly
+    # 0 (parallel to the plane) and > 0; C's last direction reflects straight
+    # away, with its backward extension through the grid.  pytest.ini turns
+    # a RuntimeWarning from any of them, such as an out-of-range int cast,
+    # into a failure.
+    def rotation(nx, ny):  # local x -> (nx, ny, 0), local z -> world z
+        return np.array([[nx, -ny, 0.0], [ny, nx, 0.0], [0.0, 0.0, 1.0]])
+
+    facets = [hf.Facet(centre=np.array([10.0, 0.0, 0.0]), axes=axes, width=1.0,
+                       height=1.0, focal_length=None, reflectivity=0.9)
+              for axes in (rotation(-1.0, 0.0), rotation(-0.6, 0.8), rotation(0.6, 0.8))]
+    dirs = np.array([[-1.0, 0.0, 0.0], [-1e-300, 0.0, 1.0], [-1e-310, 0.0, 1.0],
+                     [0.0, 0.6, 0.8], [0.3, 0.0, 0.95], [-0.28, 0.96, 0.0]])
+    weights = np.full(len(dirs), 0.2)
+    grid = hf.GridSpec(extent_y=4.0, extent_z=4.0, cells_y=64, cells_z=64)
+    dni = 800.0
+    power, spilled = flux._trace_spot(facets, dirs, weights, dirs[-1], grid, dni, 8)
+    expected = dni * sum(f.area * f.reflectivity
+                         * float(weights @ np.maximum(dirs @ f.axes[:, 0], 0.0))
+                         for f in facets)
+    assert power.sum() == pytest.approx(dni * 0.9 * 0.2, rel=1e-12)
+    assert power.sum() + spilled == pytest.approx(expected, rel=1e-12)
+
+
+# --- ray kernel against the unchunked reference -------------------------------
+
+def _reference_deposit(y, z, weights, grid):
+    """Deposit of the unchunked ray loop below."""
+    cell = grid.cell_size
+    iy = np.floor((y + 0.5 * grid.extent_y) / cell).astype(np.int64)
+    iz = np.floor((z + 0.5 * grid.extent_z) / cell).astype(np.int64)
+    ok = (iy >= 0) & (iy < grid.cells_y) & (iz >= 0) & (iz < grid.cells_z)
+    flat = iy[ok] * grid.cells_z + iz[ok]
+    power = np.bincount(flat, weights=weights[ok],
+                        minlength=grid.cells_y * grid.cells_z)
+    spilled = float(weights.sum() - weights[ok].sum())
+    return power.reshape(grid.cells_y, grid.cells_z), spilled
+
+
+def _reference_trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni,
+                          surface_samples):
+    """The ray loop before chunking: whole-facet arrays, one deposit per facet."""
+    power = np.zeros((grid.cells_y, grid.cells_z))
+    spilled = 0.0
+    for facet in facets:
+        points, normals, cell_area = facet.sample_grid(surface_samples)
+        central_cos = (normals[:, 0] * central_sun[0] + normals[:, 1] * central_sun[1]
+                       + normals[:, 2] * central_sun[2])
+        if np.any(central_cos <= 0.0):
+            raise BacklitMirror("facet is back-lit at the current sun position")
+        cos_i = (normals[:, None, 0] * sun_dirs[None, :, 0]
+                 + normals[:, None, 1] * sun_dirs[None, :, 1]
+                 + normals[:, None, 2] * sun_dirs[None, :, 2])
+        out_x = 2.0 * cos_i * normals[:, None, 0] - sun_dirs[None, :, 0]
+        out_y = 2.0 * cos_i * normals[:, None, 1] - sun_dirs[None, :, 1]
+        out_z = 2.0 * cos_i * normals[:, None, 2] - sun_dirs[None, :, 2]
+        weights = ((dni * cell_area * facet.reflectivity)
+                   * np.maximum(cos_i, 0.0) * dir_weights[None, :])
+        towards = out_x < 0.0
+        t = np.where(towards, -points[:, None, 0] / np.where(towards, out_x, -1.0), np.nan)
+        land_y = points[:, None, 1] + t * out_y
+        land_z = points[:, None, 2] + t * out_z
+        stray = ~towards
+        if np.any(stray):
+            spilled += float(weights[stray].sum())
+            weights = np.where(stray, 0.0, weights)
+            land_y = np.where(stray, 1e9, land_y)
+            land_z = np.where(stray, 1e9, land_z)
+        facet_power, facet_spill = _reference_deposit(land_y.ravel(), land_z.ravel(),
+                                                      weights.ravel(), grid)
+        power += facet_power
+        spilled += facet_spill
+    return power, spilled
+
+
+@pytest.mark.parametrize("samples, nodes, extent, cells", [
+    (33, (6, 12), 4.0, 64),    # 33^2 sample rows: chunks with a remainder
+    (33, (6, 12), 0.5, 32),    # a grid so small that rays spill
+    (12, (24, 48), 4.0, 128),  # default cone quadrature, short chunks
+    (33, None, 0.5, 32),       # one direction: the geometric-spot path
+])
+def test_chunked_ray_kernel_matches_unchunked_reference(samples, nodes, extent, cells):
+    sun = hf.SunPosition(azimuth=30.0, elevation=40.0)
+    facets = reference_facets(sun=sun)
+    s = hf.sun_vector(sun)
+    if nodes is None:
+        dirs, weights = s[None, :], np.ones(1)
+    else:
+        dirs, weights = hf.cone_directions(hf.SunshapeModel(half_angle=2.5e-3), s, *nodes)
+    rows = max(1, flux._CHUNK_RAYS // len(dirs))
+    assert nodes is None or (samples * samples > rows and samples * samples % rows)
+    grid = hf.GridSpec(extent_y=extent, extent_z=extent, cells_y=cells, cells_z=cells)
+    power, spilled = flux._trace_spot(facets, dirs, weights, s, grid, 1.0, samples)
+    ref_power, ref_spilled = _reference_trace_spot(facets, dirs, weights, s, grid, 1.0,
+                                                   samples)
+    assert np.array_equal(power, ref_power)
+    # the spill bin sums its rays in another order than the reference
+    assert spilled == pytest.approx(ref_spilled, rel=1e-12)
+    assert (spilled > 0.0) == (extent < 1.0)
+
+
 # --- convolution engine ---------------------------------------------------------
 
 def test_convolution_identity_with_delta_kernel():
@@ -167,6 +284,15 @@ def test_convolution_rejects_grid_smaller_than_spot():
     with pytest.raises(GridTooSmall):
         hf.convolve_flux(facets, hf.SunPosition(azimuth=54.562, elevation=29.786),
                          shape, hf.ReceiverSpec(grid=small))
+
+
+def test_convolution_rejects_facets_of_two_heliostats():
+    # the kernel is built at the facets' mean centre, 50 m from each heliostat
+    sun = hf.SunPosition(azimuth=0.0, elevation=44.63)
+    first, second = mirrored_pair_facets(sun)
+    with pytest.raises(HelioFluxError):
+        hf.convolve_flux(first + second, sun, hf.SunshapeModel(half_angle=2.5e-3),
+                         hf.ReceiverSpec())
 
 
 def test_convolution_peak_stable_under_grid_refinement():
@@ -269,13 +395,7 @@ def test_grt_is_linear_over_heliostats():
     sun = hf.SunPosition(azimuth=0.0, elevation=44.63)
     shape = hf.SunshapeModel(half_angle=2.5e-3)
     receiver = hf.ReceiverSpec()
-    h1 = hf.HeliostatSpec(name="h1")
-    h2 = h1.mirrored()
-    facet_sets = []
-    for h in (h1, h2):
-        layout = hf.module_centres(h)
-        canting = hf.spherical_canting(h, layout, h.slant_distance)
-        facet_sets.append(hf.realize_modules(h, layout, canting, sun))
+    facet_sets = mirrored_pair_facets(sun)
     kwargs = dict(surface_samples=8, radial_nodes=6, azimuth_nodes=12)
     combined = hf.trace_flux_grt(facet_sets[0] + facet_sets[1], sun, shape,
                                  receiver, **kwargs)
