@@ -8,7 +8,7 @@ the day and gives some of it back near the ends.
 import helioflux as hf
 
 config = hf.load_config(hf.table1_scene_path())
-report = hf.day_course(config, engine="conv")
+report = hf.day_course(hf.with_overrides(config, engine="conv"))
 
 width = max(len(label) for label in report.labels) + 2
 print("concentration ratio [suns]")

@@ -23,7 +23,7 @@ for beta_deg, label in ((0.0, "normal incidence"), (30.0, "30 deg incidence")):
                                   -math.sin(math.radians(beta_deg)), 0.0]))
     for kind in ("pillbox", "limb_darkened"):
         model = hf.SunshapeModel(kind=kind, half_angle=4.65e-3)
-        kernel = hf.build_kernel(model, L, beam, hf.RECEIVER_NORMAL, grid)
+        kernel = hf.build_kernel(model, L, beam, grid)
         off = (np.arange(kernel.shape[0]) - kernel.shape[0] // 2) * grid.cell_size
         span_y = off[np.any(kernel > 0, axis=1)]
         span_z = off[np.any(kernel > 0, axis=0)]

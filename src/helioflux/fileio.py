@@ -6,6 +6,7 @@ the map peak, rows from the top of the receiver (+z') down.
 """
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .flux import map_stats
@@ -58,30 +59,21 @@ def write_concentration_csv(report, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# concentration ratios [suns], engine = {report.engine}\n")
         fh.write("quantity," + ",".join(report.labels) + "\n")
-        for variant in report.variants:
-            for case in report.cases:
-                values = report.peak[(case, variant)]
-                fh.write(f"peak_{variant}_{case},"
-                         + ",".join(f"{v:.6f}" for v in values) + "\n")
-        for variant in report.variants:
-            for case in report.cases:
-                values = report.intercepted[(case, variant)]
-                fh.write(f"intercepted_{variant}_{case},"
-                         + ",".join(f"{v:.6f}" for v in values) + "\n")
+        for quantity, table in (("peak", report.peak), ("intercepted", report.intercepted)):
+            for variant in report.variants:
+                for case in report.cases:
+                    fh.write(f"{quantity}_{variant}_{case},"
+                             + ",".join(f"{v:.6f}" for v in table[(case, variant)]) + "\n")
         for case in report.cases:
-            if case in report.gain:
-                fh.write(f"gain_{case},"
-                         + ",".join(f"{v:.6f}" for v in report.gain[case]) + "\n")
+            fh.write(f"gain_{case}," + ",".join(f"{v:.6f}" for v in report.gain[case]) + "\n")
 
 
 def write_manifest(config, report, path):
     """Config echo, versions and cross-engine figures; no wall-clock content."""
-    import numpy
-    import scipy
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# helioflux run manifest\n")
         fh.write(f"version = {__version__}\n")
-        fh.write(f"numpy = {numpy.__version__}\n")
+        fh.write(f"numpy = {np.__version__}\n")
         fh.write(f"scipy = {scipy.__version__}\n")
         fh.write("\n# effective configuration (defaults included)\n")
         for line in config.echo():

@@ -20,9 +20,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import BacklitMirror, GridMismatch, GridTooSmall, HelioFluxError
-# GridSpec and ReceiverSpec are re-exported here: the receiver-plane types
-# are part of this module's working surface
-from .receiver import RECEIVER_NORMAL, GridSpec, ReceiverSpec  # noqa: F401
+from .receiver import GridSpec
 from .sun import SunPosition, build_kernel, cone_directions, sun_vector
 
 DEFAULT_SURFACE_SAMPLES = 32
@@ -149,14 +147,13 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
     return power, spilled
 
 
-def trace_flux_grt(facets, sun, shape, receiver, grid=None, dni=1.0,
+def trace_flux_grt(facets, sun, shape, receiver, dni=1.0,
                    surface_samples=DEFAULT_SURFACE_SAMPLES,
                    radial_nodes=DEFAULT_RADIAL_NODES,
                    azimuth_nodes=DEFAULT_AZIMUTH_NODES,
                    heliostat_ids=()):
     """Grid ray trace: surface samples times sun-cone quadrature directions."""
-    if grid is None:
-        grid = receiver.grid
+    grid = receiver.grid
     s = sun_vector(sun)
     dirs, weights = cone_directions(shape, s, radial_nodes, azimuth_nodes)
     power, spilled = _trace_spot(facets, dirs, weights, s, grid, dni, surface_samples)
@@ -165,15 +162,14 @@ def trace_flux_grt(facets, sun, shape, receiver, grid=None, dni=1.0,
                    heliostat_ids=tuple(heliostat_ids), spilled_power=spilled)
 
 
-def geometric_spot(facets, sun, receiver, grid=None, dni=1.0,
+def geometric_spot(facets, sun, receiver, dni=1.0,
                    surface_samples=DEFAULT_SURFACE_SAMPLES, heliostat_ids=()):
     """Point-sun map: the geometric/aberration spot without any sun blur.
 
     This is stage 1 of the convolution engine; convolving it with a delta
     kernel reproduces it bit-for-bit.
     """
-    if grid is None:
-        grid = receiver.grid
+    grid = receiver.grid
     s = sun_vector(sun)
     power, spilled = _trace_spot(facets, s[None, :], np.ones(1), s, grid, dni,
                                  surface_samples)
@@ -193,7 +189,7 @@ def _convolve_padded(spot, kernel):
     return full[ky // 2:ky // 2 + ny, kz // 2:kz // 2 + nz]
 
 
-def convolve_flux(facets, sun, shape, receiver, grid=None, dni=1.0,
+def convolve_flux(facets, sun, shape, receiver, dni=1.0,
                   surface_samples=DEFAULT_SURFACE_SAMPLES,
                   heliostat_ids=()):
     """Convolution engine: point-sun geometric spot x projected sunshape kernel.
@@ -213,14 +209,13 @@ def convolve_flux(facets, sun, shape, receiver, grid=None, dni=1.0,
     its diagonal is taken as the sum of the facet diagonals, the diagonal
     of the modules laid corner to corner.
     """
-    if grid is None:
-        grid = receiver.grid
+    grid = receiver.grid
     centre = np.mean([f.centre for f in facets], axis=0)
     diagonal = sum(math.hypot(f.width, f.height) for f in facets)
     if max(float(np.linalg.norm(f.centre - centre)) for f in facets) > diagonal:
         raise HelioFluxError("convolve_flux takes the facets of one heliostat; "
                              "compose heliostats with map_add")
-    stage1 = geometric_spot(facets, sun, receiver, grid=grid, dni=dni,
+    stage1 = geometric_spot(facets, sun, receiver, dni=dni,
                             surface_samples=surface_samples,
                             heliostat_ids=heliostat_ids)
     spot = stage1.values
@@ -228,7 +223,7 @@ def convolve_flux(facets, sun, shape, receiver, grid=None, dni=1.0,
 
     path_length = float(np.sqrt(centre @ centre))
     beam = -centre / path_length
-    kernel = build_kernel(shape, path_length, beam, RECEIVER_NORMAL, grid)
+    kernel = build_kernel(shape, path_length, beam, grid)
 
     if kernel.shape == (1, 1):
         values = spot * kernel[0, 0]  # delta kernel: convolution is the identity

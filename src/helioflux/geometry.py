@@ -56,14 +56,8 @@ def reflect(sun, normal):
 
 @dataclass(frozen=True)
 class ReflectionGeometry:
-    """Sun direction, target direction, bisecting normal and incidence angle.
+    """Bisecting mirror normal and incidence angle of a sun/target pair."""
 
-    The three unit vectors satisfy S + R = 2 cos(i) N, the vector form of
-    the specular reflection law.
-    """
-
-    sun: np.ndarray
-    target: np.ndarray
     normal: np.ndarray
     incidence: float  # radians
 
@@ -73,7 +67,9 @@ def bisector_normal(sun, target):
 
     N = (S + R) / sqrt(2 (1 + S.R)) is unit length by construction and
     bisects the two directions; the returned incidence angle is
-    arccos(S.N).  Anti-parallel inputs have no bisector and are rejected.
+    arccos(S.N).  The three unit vectors satisfy S + R = 2 cos(i) N, the
+    vector form of the specular reflection law.  Anti-parallel inputs have
+    no bisector and are rejected.
     """
     s_dot_r = sun[0] * target[0] + sun[1] * target[1] + sun[2] * target[2]
     if 1.0 + s_dot_r <= 1e-12:
@@ -81,7 +77,7 @@ def bisector_normal(sun, target):
     normal = (sun + target) / np.sqrt(2.0 * (1.0 + s_dot_r))
     c = sun[0] * normal[0] + sun[1] * normal[1] + sun[2] * normal[2]
     incidence = float(np.arccos(min(1.0, max(-1.0, c))))
-    return ReflectionGeometry(sun=sun, target=target, normal=normal, incidence=incidence)
+    return ReflectionGeometry(normal=normal, incidence=incidence)
 
 
 @dataclass(frozen=True)

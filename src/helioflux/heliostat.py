@@ -17,7 +17,7 @@ ray deflection) in milliradians; ``canting_report`` applies that factor.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,11 +72,7 @@ class HeliostatSpec:
     def mirrored(self):
         """The X'-symmetric twin of this heliostat (Y' position negated)."""
         x, y, z = self.position
-        return HeliostatSpec(position=(x, -y, z), width=self.width, height=self.height,
-                             modules_across=self.modules_across, modules_up=self.modules_up,
-                             module_width=self.module_width, module_height=self.module_height,
-                             focal_length=self.focal_length, reflectivity=self.reflectivity,
-                             name=self.name + "_mirror")
+        return replace(self, position=(x, -y, z), name=self.name + "_mirror")
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,6 @@ class CantingSet:
 
     a: np.ndarray
     h: np.ndarray
-    variant: str
 
     def __post_init__(self):
         if np.any(np.abs(self.a) >= CANTING_LIMIT) or np.any(np.abs(self.h) >= CANTING_LIMIT):
@@ -138,7 +133,7 @@ def spherical_canting(spec, layout, distance):
         raise ValueError("focusing distance must be positive")
     a = layout.grid_y / (2.0 * distance)
     h = layout.grid_z / (2.0 * distance)
-    return CantingSet(a=a, h=h, variant="spherical")
+    return CantingSet(a=a, h=h)
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,6 @@ class OffAxisContext:
     with s0y and sin(phi) with s0z.
     """
 
-    sun0: np.ndarray
-    normal0: np.ndarray
     incidence0: float  # radians
     s0y: float
     s0z: float
@@ -170,8 +163,8 @@ def off_axis_context(spec, sun0):
     frame = heliostat_frame(geom.normal)
     s0y = float(s0 @ frame.axis_y)
     s0z = float(s0 @ frame.axis_z)
-    return OffAxisContext(sun0=s0, normal0=geom.normal, incidence0=geom.incidence,
-                          s0y=s0y, s0z=s0z, phi=math.atan2(s0z, s0y))
+    return OffAxisContext(incidence0=geom.incidence, s0y=s0y, s0z=s0z,
+                          phi=math.atan2(s0z, s0y))
 
 
 def off_axis_canting(spec, layout, ctx, distance):
@@ -205,7 +198,7 @@ def off_axis_canting(spec, layout, ctx, distance):
     z = layout.grid_z
     a = y / (2.0 * distance) * along - z / (4.0 * distance) * skew
     h = -y / (4.0 * distance) * skew + z / (2.0 * distance) * across
-    return CantingSet(a=a, h=h, variant="off_axis")
+    return CantingSet(a=a, h=h)
 
 
 def canting_report(canting):

@@ -100,27 +100,25 @@ def heliostat_maps(scene, h, layout, cantings, sun, engines):
     return maps
 
 
-def day_course(scene, schedule=None, cases=None, engine=None, collect_maps=False):
-    """Simulate the schedule for every variant and case.
+def day_course(scene, collect_maps=False):
+    """Simulate the scene's schedule for every variant and case.
 
     Canting sets are computed once per heliostat from the scene reference
     sun and reused across all times.  Per-heliostat maps are computed once
     per (time, variant, engine) and composed into cases by cell-wise
     addition, so a pair map is exactly the sum of its singles.
 
-    ``schedule``, ``cases`` and ``engine`` default to the scene settings.
+    The schedule, cases and engine are the scene's; run a variant of a
+    scene with ``dataclasses.replace`` or ``scene.with_overrides``.
     When the engine is "both", the reported numbers come from the
     convolution engine and the GRT maps feed the cross-engine RMS record.
     Returns the report, and the map dictionary keyed
     (label, variant, case, engine) when ``collect_maps`` is set.
     """
-    if schedule is None:
-        schedule = scene.schedule
+    schedule, cases = scene.schedule, scene.cases
     if len(schedule) == 0:
         raise ValueError("empty schedule")
-    if cases is None:
-        cases = scene.cases
-    engines = ENGINES[engine or scene.engine]
+    engines = ENGINES[scene.engine]
     report = ConcentrationReport(labels=tuple(e.label for e in schedule),
                                  cases=tuple(cases), variants=VARIANTS,
                                  engine=engines[-1])

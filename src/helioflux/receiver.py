@@ -2,6 +2,8 @@
 
 The receiver plane is the world Y'Z' plane (normal along +X') with its
 centre at the origin; every flux map lives on a regular grid in that plane.
+This module is the one place the plane is fixed: the flux engines and
+``sun.build_kernel`` assume it rather than take a normal.
 """
 
 from dataclasses import dataclass, field

@@ -27,7 +27,7 @@ Grammar (all angles in degrees, lengths in meters):
     hours = 9.0, 10.5, 12.0      # ideal equinox path at the site latitude
     # angles = -54.5 29.8; 0 44.63; 54.5 29.8
     # times = 2022-09-23T09:00; 2022-09-23T12:00   (UTC, uses the ephemeris)
-    # labels = morning, noon, afternoon
+    # labels = morning, noon, afternoon   (one per schedule entry)
 
     [reference]                  # optional
     sun = equinox-noon | <azimuth> <elevation>
@@ -207,14 +207,11 @@ def _parse_schedule(items, site):
     modes = [k for k in ("hours", "angles", "times") if k in values]
     if len(modes) != 1:
         raise ConfigError("[schedule] needs exactly one of 'hours', 'angles' or 'times'")
-    labels = values.get("labels")
     entries = []
 
     if modes[0] == "hours":
-        for k, hour in enumerate(values["hours"]):
-            pos = ideal_equinox_position(site.latitude, hour)
-            label = labels[k] if labels else hour_label(hour)
-            entries.append((label, pos))
+        for hour in values["hours"]:
+            entries.append((hour_label(hour), ideal_equinox_position(site.latitude, hour)))
     elif modes[0] == "angles":
         pairs = [p.strip() for p in values["angles"].split(";") if p.strip()]
         for k, pair in enumerate(pairs):
@@ -223,8 +220,7 @@ def _parse_schedule(items, site):
                 raise ConfigError(f"[schedule] angles: entry {k}: expected "
                                   f"'<azimuth> <elevation>', got {pair!r}")
             az, el = (_parse("schedule", "angles", p, float, None, None) for p in parts)
-            label = labels[k] if labels else f"t{k:02d}"
-            entries.append((label, SunPosition(azimuth=az, elevation=el)))
+            entries.append((f"t{k:02d}", SunPosition(azimuth=az, elevation=el)))
     else:
         stamps = [p.strip() for p in values["times"].split(";") if p.strip()]
         for k, stamp in enumerate(stamps):
@@ -235,12 +231,13 @@ def _parse_schedule(items, site):
                                   "ISO datetime") from None
             if t.tzinfo is None:
                 t = t.replace(tzinfo=timezone.utc)
-            pos = ephemeris(site, t)
-            label = labels[k] if labels else t.strftime("%Hh%M")
-            entries.append((label, pos))
+            entries.append((t.strftime("%Hh%M"), ephemeris(site, t)))
 
-    if labels and len(labels) != len(entries):
-        raise ConfigError("[schedule] labels: count does not match the schedule length")
+    labels = values.get("labels")
+    if labels:
+        if len(labels) != len(entries):
+            raise ConfigError("[schedule] labels: count does not match the schedule length")
+        entries = [(label, pos) for label, (_, pos) in zip(labels, entries)]
     if not entries:
         raise ConfigError("[schedule] the schedule is empty")
     for k, (label, pos) in enumerate(entries):

@@ -11,7 +11,7 @@ so a noon sun in the northern hemisphere has a negative X' component.
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import timezone
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class SunPosition:
 
     azimuth: float
     elevation: float
-    timestamp: datetime | None = None
 
     def __post_init__(self):
         if not -90.0 <= self.elevation <= 90.0:
@@ -115,6 +114,19 @@ def _as_utc(t):
     return t.astimezone(timezone.utc)
 
 
+def _horizon_position(latitude, declination, hour_angle):
+    """Horizon coordinates of a sun at ``declination`` and ``hour_angle``
+    (radians) seen from ``latitude`` (degrees North)."""
+    lat = math.radians(latitude)
+    sin_el = (math.sin(lat) * math.sin(declination)
+              + math.cos(lat) * math.cos(declination) * math.cos(hour_angle))
+    elevation = math.asin(min(1.0, max(-1.0, sin_el)))
+    azimuth = math.atan2(math.sin(hour_angle),
+                         math.cos(hour_angle) * math.sin(lat)
+                         - math.tan(declination) * math.cos(lat))
+    return SunPosition(azimuth=math.degrees(azimuth), elevation=math.degrees(elevation))
+
+
 def ephemeris(site, t):
     """Sun position at ``t`` (UTC) seen from ``site``.
 
@@ -129,15 +141,7 @@ def ephemeris(site, t):
         raise ValueError(f"year {t.year} outside the supported range 1950-2100")
     declination, eot = _almanac_angles(t)
     hour_angle = math.radians((_fractional_hour(t) - 12.0) * 15.0 + site.longitude + eot)
-    lat = math.radians(site.latitude)
-    sin_el = (math.sin(lat) * math.sin(declination)
-              + math.cos(lat) * math.cos(declination) * math.cos(hour_angle))
-    elevation = math.asin(min(1.0, max(-1.0, sin_el)))
-    azimuth = math.atan2(math.sin(hour_angle),
-                         math.cos(hour_angle) * math.sin(lat)
-                         - math.tan(declination) * math.cos(lat))
-    return SunPosition(azimuth=math.degrees(azimuth),
-                       elevation=math.degrees(elevation), timestamp=t)
+    return _horizon_position(site.latitude, declination, hour_angle)
 
 
 def ideal_equinox_position(latitude, hour):
@@ -148,13 +152,7 @@ def ideal_equinox_position(latitude, hour):
     reference; it is exactly symmetric about noon, with noon elevation
     90 - latitude.
     """
-    hour_angle = math.radians(15.0 * (hour - 12.0))
-    lat = math.radians(latitude)
-    sin_el = math.cos(lat) * math.cos(hour_angle)
-    elevation = math.degrees(math.asin(min(1.0, max(-1.0, sin_el))))
-    azimuth = math.degrees(math.atan2(math.sin(hour_angle),
-                                      math.cos(hour_angle) * math.sin(lat)))
-    return SunPosition(azimuth=azimuth, elevation=elevation)
+    return _horizon_position(latitude, 0.0, math.radians(15.0 * (hour - 12.0)))
 
 
 def hour_label(hour):
@@ -204,7 +202,7 @@ def perpendicular_basis(axis):
     return e1, cross(axis, e1)
 
 
-def cone_directions(model, axis, radial=24, azimuthal=48):
+def cone_directions(model, axis, radial, azimuthal):
     """Deterministic quadrature over the sun cone around ``axis``.
 
     Midpoint nodes in fractional radius and azimuth; each node weight is
@@ -226,7 +224,7 @@ def cone_directions(model, axis, radial=24, azimuthal=48):
     return dirs.reshape(-1, 3), weights
 
 
-def build_kernel(model, path_length, beam_dir, receiver_normal, grid):
+def build_kernel(model, path_length, beam_dir, grid):
     """Projected sunshape kernel on the receiver grid.
 
     The cone of half-angle theta_s around ``beam_dir`` lands on the
@@ -236,16 +234,13 @@ def build_kernel(model, path_length, beam_dir, receiver_normal, grid):
     radiance footprint at grid-cell resolution (3x3 subsamples per cell)
     and normalizes to unit sum.
 
-    The receiver plane is the world Y'Z' plane; ``receiver_normal`` must be
-    +X' and the beam must hit the front face (beam . normal < 0).
+    The receiver plane is the world Y'Z' plane with normal +X' (see
+    ``receiver``), so cos(beta) = -beam_x; the beam must hit the front
+    face (beam_x < 0).
     """
     if path_length <= 0.0:
         raise ValueError("path length must be positive")
-    if abs(receiver_normal[0]) < 1.0 - 1e-9 or abs(receiver_normal[1]) > 1e-9 \
-            or abs(receiver_normal[2]) > 1e-9:
-        raise DegenerateGeometry("receiver plane must be the world Y'Z' plane")
-    cos_beta = -(beam_dir[0] * receiver_normal[0] + beam_dir[1] * receiver_normal[1]
-                 + beam_dir[2] * receiver_normal[2])
+    cos_beta = -beam_dir[0]
     if cos_beta <= 0.0:
         raise DegenerateGeometry("beam does not hit the receiver front face")
 

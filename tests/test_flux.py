@@ -20,7 +20,7 @@ def single_flat_facet_scene():
                             modules_across=1, modules_up=1, module_width=1.0,
                             module_height=1.0, focal_length=None, name="flat")
     layout = hf.module_centres(spec)
-    zero = hf.CantingSet(a=np.zeros((1, 1)), h=np.zeros((1, 1)), variant="spherical")
+    zero = hf.CantingSet(a=np.zeros((1, 1)), h=np.zeros((1, 1)))
     return hf.realize_modules(spec, layout, zero, NORMAL_SUN)
 
 
@@ -80,7 +80,7 @@ def test_grt_point_sun_stigmatic_focus():
                             focal_length=math.hypot(86.60254037844387, 50.0),
                             name="focus")
     layout = hf.module_centres(spec)
-    zero = hf.CantingSet(a=np.zeros((1, 1)), h=np.zeros((1, 1)), variant="spherical")
+    zero = hf.CantingSet(a=np.zeros((1, 1)), h=np.zeros((1, 1)))
     facets = hf.realize_modules(spec, layout, zero, NORMAL_SUN)
     m = hf.geometric_spot(facets, NORMAL_SUN, hf.ReceiverSpec())
     iy, iz = np.nonzero(m.values)

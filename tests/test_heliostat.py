@@ -1,5 +1,6 @@
 """Module layout, canting formulas against the golden tilt table, facets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_report_doubles_the_mirror_rotation():
 
 
 def test_zero_canting_reports_zero():
-    zero = hf.CantingSet(a=np.zeros((4, 2)), h=np.zeros((4, 2)), variant="spherical")
+    zero = hf.CantingSet(a=np.zeros((4, 2)), h=np.zeros((4, 2)))
     assert np.all(hf.canting_report(zero) == 0.0)
 
 
@@ -158,7 +159,7 @@ def test_off_axis_hand_evaluated_case():
     # the implementation fed with the same reference quantities agrees
     cos_phi = -math.sqrt(cos2_phi)
     sin_phi = math.sqrt(1.0 - cos2_phi)
-    ctx = hf.OffAxisContext(sun0=None, normal0=None, incidence0=i0,
+    ctx = hf.OffAxisContext(incidence0=i0,
                             s0y=sin_i0 * cos_phi, s0z=sin_i0 * sin_phi,
                             phi=math.atan2(sin_phi, cos_phi))
     spec = hf.HeliostatSpec()
@@ -171,8 +172,7 @@ def test_off_axis_hand_evaluated_case():
 def test_off_axis_collapses_to_spherical_at_zero_incidence():
     spec = hf.HeliostatSpec()
     layout = hf.module_centres(spec)
-    ctx = hf.OffAxisContext(sun0=None, normal0=None, incidence0=0.0,
-                            s0y=0.0, s0z=0.0, phi=0.0)
+    ctx = hf.OffAxisContext(incidence0=0.0, s0y=0.0, s0z=0.0, phi=0.0)
     oa = hf.off_axis_canting(spec, layout, ctx, 100.0)
     sph = hf.spherical_canting(spec, layout, 100.0)
     assert np.array_equal(oa.a, sph.a)
@@ -192,7 +192,7 @@ def test_off_axis_point_symmetry(scene_parts):
 def test_off_axis_rejects_extreme_incidence():
     spec = hf.HeliostatSpec()
     layout = hf.module_centres(spec)
-    ctx = hf.OffAxisContext(sun0=None, normal0=None, incidence0=math.radians(61.0),
+    ctx = hf.OffAxisContext(incidence0=math.radians(61.0),
                             s0y=0.5, s0z=0.5, phi=math.atan2(0.5, 0.5))
     with pytest.raises(DegenerateGeometry, match="61"):
         hf.off_axis_canting(spec, layout, ctx, 100.0)
@@ -200,7 +200,7 @@ def test_off_axis_rejects_extreme_incidence():
 
 def test_canting_set_rejects_large_angles():
     with pytest.raises(ValueError):
-        hf.CantingSet(a=np.array([[0.2]]), h=np.array([[0.0]]), variant="spherical")
+        hf.CantingSet(a=np.array([[0.2]]), h=np.array([[0.0]]))
 
 
 # --- facet realization -------------------------------------------------------
@@ -221,7 +221,7 @@ def trace_centre_ray_miss(facets, sun):
 def test_flat_uncanted_facets_share_the_frame_normal():
     spec = hf.HeliostatSpec(focal_length=None)
     layout = hf.module_centres(spec)
-    zero = hf.CantingSet(a=np.zeros((4, 2)), h=np.zeros((4, 2)), variant="spherical")
+    zero = hf.CantingSet(a=np.zeros((4, 2)), h=np.zeros((4, 2)))
     facets = hf.realize_modules(spec, layout, zero, REF_SUN)
     s = hf.sun_vector(REF_SUN)
     frame_normal = hf.bisector_normal(s, spec.target_direction()).normal
@@ -292,3 +292,13 @@ def test_mirrored_heliostat():
     assert twin.position == (86.6, -50.0, 0.0)
     assert twin.name == "h1_mirror"
     assert twin.slant_distance == spec.slant_distance
+
+
+def test_mirrored_heliostat_keeps_every_other_field():
+    spec = hf.HeliostatSpec(position=(80.0, 30.0, 2.0), width=3.0, height=2.0,
+                            modules_across=2, modules_up=1, module_width=1.2,
+                            module_height=1.6, focal_length=90.0, reflectivity=0.9,
+                            name="h7")
+    twin = spec.mirrored()
+    assert (twin.position, twin.name) == ((80.0, -30.0, 2.0), "h7_mirror")
+    assert dataclasses.replace(twin, position=spec.position, name=spec.name) == spec

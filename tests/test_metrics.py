@@ -1,5 +1,7 @@
 """Concentration figures, day-course behavior, case composition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ def test_off_axis_interception_beats_spherical_at_noon(noon_maps, table1_config)
 
 def test_day_course_rejects_empty_schedule(table1_config):
     with pytest.raises(ValueError):
-        hf.day_course(table1_config, schedule=())
+        hf.day_course(dataclasses.replace(table1_config, schedule=()))
 
 
 def test_day_course_freezes_canting(table1_config, monkeypatch):
@@ -78,7 +80,7 @@ def test_day_course_freezes_canting(table1_config, monkeypatch):
 
     monkeypatch.setattr(metrics, "off_axis_canting", counting)
     scene = table1_config
-    report = hf.day_course(scene, engine="conv", cases=("single",))
+    report = hf.day_course(dataclasses.replace(scene, engine="conv", cases=("single",)))
     # one optimization per heliostat, not one per timestep
     assert calls["n"] == len(scene.heliostats)
     assert len(report.labels) == len(scene.schedule)
@@ -141,13 +143,12 @@ def test_spherical_concentration_degrades_with_incidence(table1_run, table1_conf
 
 
 def test_day_course_reports_requested_engine(table1_config):
-    short = table1_config.schedule[2:3]
-    report = hf.day_course(table1_config, schedule=short, engine="conv",
-                           cases=("single",))
+    short = dataclasses.replace(table1_config, schedule=table1_config.schedule[2:3],
+                                cases=("single",))
+    report = hf.day_course(hf.with_overrides(short, engine="conv"))
     assert report.engine == "conv"
     assert not report.engine_rms
-    report, maps = hf.day_course(table1_config, schedule=short, engine="both",
-                                 cases=("single",), collect_maps=True)
+    report, maps = hf.day_course(hf.with_overrides(short, engine="both"), collect_maps=True)
     assert report.engine == "conv"
     assert set(eng for (_, _, _, eng) in maps) == {"grt", "conv"}
     assert max(report.engine_rms.values()) <= 0.02

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import helioflux as hf
+from helioflux.cli import main
 from helioflux.errors import ConfigError
 
 
@@ -172,6 +173,19 @@ def test_schedule_angle_labels(tmp_path):
     body = MINIMAL.replace("hours = 12.0", "angles = 0 44.63\nlabels = noon")
     config = hf.load_config(write_scene(tmp_path, body))
     assert config.schedule[0].label == "noon"
+
+
+@pytest.mark.parametrize("schedule", [
+    "hours = 9.0, 10.5, 12.0",
+    "angles = -54.5 29.8; 0 44.63; 54.5 29.8",
+    "times = 2022-09-23T09:00; 2022-09-23T10:30; 2022-09-23T12:00",
+], ids=["hours", "angles", "times"])
+def test_schedule_labels_shorter_than_schedule(schedule, tmp_path, capsys):
+    body = MINIMAL.replace("hours = 12.0", schedule + "\nlabels = a, b")
+    assert main(["run", write_scene(tmp_path, body), "--validate-only"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ConfigError: [schedule] labels")
 
 
 def test_explicit_reference_angles(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import helioflux as hf
+from helioflux import flux
 from helioflux.errors import DegenerateGeometry, KernelAliasingError
 
 UTC = timezone.utc
@@ -209,7 +210,8 @@ def test_sunshape_model_validation():
 def test_cone_directions_weights_and_support():
     model = hf.SunshapeModel(kind="limb_darkened")
     axis = hf.normalize(np.array([-0.7, 0.1, 0.7]))
-    dirs, weights = hf.cone_directions(model, axis)
+    dirs, weights = hf.cone_directions(model, axis, flux.DEFAULT_RADIAL_NODES,
+                                        flux.DEFAULT_AZIMUTH_NODES)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(weights > 0.0)
     cos_off = dirs @ axis
@@ -220,7 +222,8 @@ def test_cone_directions_weights_and_support():
 def test_cone_directions_mean_is_axis():
     model = hf.SunshapeModel(kind="pillbox")
     axis = np.array([0.0, 0.0, 1.0])
-    dirs, weights = hf.cone_directions(model, axis)
+    dirs, weights = hf.cone_directions(model, axis, flux.DEFAULT_RADIAL_NODES,
+                                        flux.DEFAULT_AZIMUTH_NODES)
     mean = (dirs * weights[:, None]).sum(axis=0)
     assert np.allclose(mean / np.linalg.norm(mean), axis, atol=1e-12)
 
@@ -236,7 +239,7 @@ def test_kernel_normal_incidence_disc():
     grid = hf.GridSpec()
     model = hf.SunshapeModel(kind="pillbox", half_angle=4.65e-3)
     beam = np.array([-1.0, 0.0, 0.0])
-    kernel = hf.build_kernel(model, 100.0, beam, hf.RECEIVER_NORMAL, grid)
+    kernel = hf.build_kernel(model, 100.0, beam, grid)
     assert kernel.sum() == pytest.approx(1.0, abs=1e-6)
     off = kernel_offsets(kernel, grid.cell_size)
     rr = np.hypot(off[:, None], off[None, :])
@@ -255,7 +258,7 @@ def test_kernel_oblique_ellipse_axes_vs_monte_carlo():
     length = 100.0
     beam = hf.normalize(np.array([-math.cos(math.radians(30.0)),
                                   -math.sin(math.radians(30.0)), 0.0]))
-    kernel = hf.build_kernel(model, length, beam, hf.RECEIVER_NORMAL, grid)
+    kernel = hf.build_kernel(model, length, beam, grid)
     off = kernel_offsets(kernel, grid.cell_size)
     occupied_y = off[np.any(kernel > 0.0, axis=1)]
     occupied_z = off[np.any(kernel > 0.0, axis=0)]
@@ -287,17 +290,15 @@ def test_kernel_unit_sum_across_grids(cells):
     grid = hf.GridSpec(cells_y=cells, cells_z=cells)
     model = hf.SunshapeModel()
     beam = hf.normalize(np.array([-0.866, -0.5, 0.0]))
-    kernel = hf.build_kernel(model, 100.0, beam, hf.RECEIVER_NORMAL, grid)
+    kernel = hf.build_kernel(model, 100.0, beam, grid)
     assert kernel.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_limb_darkened_kernel_peaks_above_pillbox():
     grid = hf.GridSpec()
     beam = hf.normalize(np.array([-0.866, -0.5, 0.0]))
-    limb = hf.build_kernel(hf.SunshapeModel(kind="limb_darkened"), 100.0, beam,
-                           hf.RECEIVER_NORMAL, grid)
-    pill = hf.build_kernel(hf.SunshapeModel(kind="pillbox"), 100.0, beam,
-                           hf.RECEIVER_NORMAL, grid)
+    limb = hf.build_kernel(hf.SunshapeModel(kind="limb_darkened"), 100.0, beam, grid)
+    pill = hf.build_kernel(hf.SunshapeModel(kind="pillbox"), 100.0, beam, grid)
     assert limb.max() >= pill.max()
 
 
@@ -306,14 +307,12 @@ def test_kernel_aliasing_guard():
     model = hf.SunshapeModel(half_angle=4.65e-3)
     beam = np.array([-1.0, 0.0, 0.0])
     with pytest.raises(KernelAliasingError):
-        hf.build_kernel(model, 100.0, beam, hf.RECEIVER_NORMAL, grid)
+        hf.build_kernel(model, 100.0, beam, grid)
 
 
 def test_kernel_rejects_backface_beam():
     grid = hf.GridSpec()
     with pytest.raises(DegenerateGeometry):
-        hf.build_kernel(hf.SunshapeModel(), 100.0, np.array([1.0, 0.0, 0.0]),
-                        hf.RECEIVER_NORMAL, grid)
+        hf.build_kernel(hf.SunshapeModel(), 100.0, np.array([1.0, 0.0, 0.0]), grid)
     with pytest.raises(ValueError):
-        hf.build_kernel(hf.SunshapeModel(), -1.0, np.array([-1.0, 0.0, 0.0]),
-                        hf.RECEIVER_NORMAL, grid)
+        hf.build_kernel(hf.SunshapeModel(), -1.0, np.array([-1.0, 0.0, 0.0]), grid)
