@@ -15,8 +15,8 @@ import helioflux as hf
 grid = hf.GridSpec()
 L = 100.0
 
-print(f"receiver grid: {grid.cells_y} x {grid.cells_z} cells of "
-      f"{1000 * grid.cell_size:.2f} mm over {grid.extent_y} x {grid.extent_z} m\n")
+print(f"receiver grid: {grid.cells} x {grid.cells} cells of "
+      f"{1000 * grid.cell_size:.2f} mm over {grid.extent} x {grid.extent} m\n")
 
 for beta_deg, label in ((0.0, "normal incidence"), (30.0, "30 deg incidence")):
     beam = hf.normalize(np.array([-math.cos(math.radians(beta_deg)),

@@ -22,8 +22,8 @@ def write_flux_csv(flux_map, path):
                  f"elevation_deg = {flux_map.sun.elevation!r}\n")
         fh.write(f"# heliostats = {';'.join(flux_map.heliostat_ids)}\n")
         fh.write(f"# dni = {flux_map.dni!r}\n")
-        fh.write(f"# grid extent_y = {grid.extent_y!r} m, extent_z = {grid.extent_z!r} m, "
-                 f"cells = {grid.cells_y} x {grid.cells_z}\n")
+        fh.write(f"# grid extent_y = {grid.extent!r} m, extent_z = {grid.extent!r} m, "
+                 f"cells = {grid.cells} x {grid.cells}\n")
         fh.write(f"# peak = {stats['peak']!r}, total_power = {stats['total_power']!r}, "
                  f"spill_fraction = {stats['spill_fraction']!r}\n")
         fh.write("# rows: z' descending from +extent/2; columns: y' ascending\n")

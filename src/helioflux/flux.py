@@ -32,9 +32,10 @@ DEFAULT_AZIMUTH_NODES = 48
 class FluxMap:
     """Irradiance on the receiver grid, in suns (flux density / DNI).
 
+    ``values`` is ``grid.cells`` x ``grid.cells`` on the square grid;
     ``values[i, j]`` belongs to the cell centred at
-    (grid.centres_y()[i], grid.centres_z()[j]).  ``spilled_power`` is the
-    traced power that missed the grid, in the same units as
+    (y', z') = (grid.centres()[i], grid.centres()[j]).  ``spilled_power``
+    is the traced power that missed the grid, in the same units as
     ``total_power`` (watts when DNI is in W/m^2).
     """
 
@@ -71,16 +72,16 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
 
     Each facet is traced in chunks of sample rows, working in place, into
     one flat bin index and one weight per ray.  One ``bincount`` per facet
-    then deposits its rays in ray order; bin ``cells`` past the grid
+    then deposits its rays in ray order; bin ``n * n`` past the n x n grid
     collects the spill.
     """
-    cells = grid.cells_y * grid.cells_z
-    power = np.zeros((grid.cells_y, grid.cells_z))
+    n = grid.cells
+    power = np.zeros((n, n))
     spilled = 0.0
     n_samples, n_dirs = surface_samples * surface_samples, len(sun_dirs)
     rows = max(1, _CHUNK_RAYS // n_dirs)
     sx, sy, sz = (np.ascontiguousarray(sun_dirs[:, k]) for k in range(3))
-    half_y, half_z, cell = 0.5 * grid.extent_y, 0.5 * grid.extent_z, grid.cell_size
+    half, cell = 0.5 * grid.extent, grid.cell_size
     work = np.empty((4, min(rows, n_samples), n_dirs))
     flags = np.empty((2, min(rows, n_samples), n_dirs), dtype=bool)
     for facet in facets:
@@ -116,34 +117,30 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
             np.subtract(np.multiply(cos_i, nz, out=out_z), sz, out=out_z)
 
             # intersection with the receiver plane x' = 0, then the cell
-            # coordinates floor((y + extent/2) / cell).  Rays travelling away
-            # from the plane or grazing it may reach inf or nan here; the
-            # on-grid test below rejects those before any cast.
+            # coordinates floor((y + extent/2) / cell) and the flat bin
+            # n * row + column.  Rays travelling away from the plane or
+            # grazing it may reach inf or nan here; the on-grid test rejects
+            # those before any cast.
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 t = np.divide(-px, out_x, out=cos_i)
-                for land, p, half in ((out_y, py, half_y), (out_z, pz, half_z)):
+                np.less(out_x, 0.0, out=on_grid)
+                for land, p in ((out_y, py), (out_z, pz)):
                     land *= t
                     land += p
                     land += half
                     land /= cell
                     np.floor(land, out=land)
-            np.less(out_x, 0.0, out=on_grid)
-            on_grid &= np.greater_equal(out_y, 0.0, out=test)
-            on_grid &= np.less(out_y, grid.cells_y, out=test)
-            on_grid &= np.greater_equal(out_z, 0.0, out=test)
-            on_grid &= np.less(out_z, grid.cells_z, out=test)
-
-            # every other ray goes to the spill bin, row cells_y of column 0
-            off_grid = np.logical_not(on_grid, out=on_grid)
-            np.copyto(out_y, grid.cells_y, where=off_grid)
-            np.copyto(out_z, 0.0, where=off_grid)
-            out_y *= grid.cells_z
-            out_y += out_z
+                    on_grid &= np.greater_equal(land, 0.0, out=test)
+                    on_grid &= np.less(land, n, out=test)
+                out_y *= n
+                out_y += out_z
+            # every other ray goes to the spill bin
+            np.copyto(out_y, n * n, where=np.logical_not(on_grid, out=on_grid))
             bins[start:stop] = out_y  # whole numbers, exact below 2**53
 
-        facet_power = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=cells + 1)
-        power += facet_power[:cells].reshape(grid.cells_y, grid.cells_z)
-        spilled += float(facet_power[cells])
+        facet_power = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=n * n + 1)
+        power += facet_power[:n * n].reshape(n, n)
+        spilled += float(facet_power[n * n])
     return power, spilled
 
 
@@ -260,12 +257,12 @@ def map_stats(flux_map):
     v = flux_map.values
     if v.size == 0:
         raise ValueError("empty flux map")
-    grid = flux_map.grid
+    centres = flux_map.grid.centres()
     total = flux_map.total_power
     peak = float(v.max())
     if total > 0.0:
-        wy = (v.sum(axis=1) @ grid.centres_y()) / v.sum()
-        wz = (v.sum(axis=0) @ grid.centres_z()) / v.sum()
+        wy = (v.sum(axis=1) @ centres) / v.sum()
+        wz = (v.sum(axis=0) @ centres) / v.sum()
         centroid = (float(wy), float(wz))
     else:
         centroid = (math.nan, math.nan)

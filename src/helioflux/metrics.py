@@ -34,10 +34,8 @@ def intercepted_power(flux_map, diameter):
     """Fraction of the on-grid power inside the centred disc of ``diameter``."""
     if diameter <= 0.0:
         raise ValueError("aperture diameter must be positive")
-    grid = flux_map.grid
-    yy = grid.centres_y()[:, None]
-    zz = grid.centres_z()[None, :]
-    inside = yy * yy + zz * zz <= (0.5 * diameter) ** 2
+    r2 = flux_map.grid.centres() ** 2
+    inside = r2[:, None] + r2[None, :] <= (0.5 * diameter) ** 2
     total = flux_map.values.sum()
     if total == 0.0:
         return 0.0

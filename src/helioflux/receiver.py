@@ -1,7 +1,8 @@
 """Receiver-plane geometry: the flux grid and the aperture.
 
 The receiver plane is the world Y'Z' plane (normal along +X') with its
-centre at the origin; every flux map lives on a regular grid in that plane.
+centre at the origin; every flux map lives on one square grid in that
+plane, the same cell count and extent along y' and z'.
 This module is the one place the plane is fixed: the flux engines and
 ``sun.build_kernel`` assume it rather than take a normal.
 """
@@ -15,39 +16,34 @@ RECEIVER_NORMAL = np.array([1.0, 0.0, 0.0])
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Regular receiver-plane grid centred on the origin.
+    """Square receiver-plane grid centred on the origin.
 
-    Cell counts must be even (FFT-friendly) and cells square.
+    ``extent`` x ``extent`` metres split into ``cells`` x ``cells`` square
+    cells; the cell count must be even (FFT-friendly).
     """
 
-    extent_y: float = 4.0
-    extent_z: float = 4.0
-    cells_y: int = 256
-    cells_z: int = 256
+    extent: float = 4.0
+    cells: int = 256
 
     def __post_init__(self):
-        if self.extent_y <= 0.0 or self.extent_z <= 0.0:
-            raise ValueError("grid extents must be positive")
-        if self.cells_y <= 0 or self.cells_z <= 0:
-            raise ValueError("cell counts must be positive")
-        if self.cells_y % 2 or self.cells_z % 2:
-            raise ValueError("cell counts must be even")
-        if abs(self.extent_y / self.cells_y - self.extent_z / self.cells_z) > 1e-12:
-            raise ValueError("grid cells must be square")
+        if self.extent <= 0.0:
+            raise ValueError("grid extent must be positive")
+        if self.cells <= 0:
+            raise ValueError("cell count must be positive")
+        if self.cells % 2:
+            raise ValueError("cell count must be even")
 
     @property
     def cell_size(self):
-        return self.extent_y / self.cells_y
+        return self.extent / self.cells
 
     @property
     def cell_area(self):
         return self.cell_size * self.cell_size
 
-    def centres_y(self):
-        return (np.arange(self.cells_y) + 0.5) * self.cell_size - 0.5 * self.extent_y
-
-    def centres_z(self):
-        return (np.arange(self.cells_z) + 0.5) * self.cell_size - 0.5 * self.extent_z
+    def centres(self):
+        """Cell-centre coordinates along either axis, y' or z'."""
+        return (np.arange(self.cells) + 0.5) * self.cell_size - 0.5 * self.extent
 
 
 @dataclass(frozen=True)

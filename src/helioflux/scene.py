@@ -13,8 +13,8 @@ Grammar (all angles in degrees, lengths in meters):
 
     [receiver]                   # required
     diameter = <aperture diameter>    # required
-    grid_extent = <side of the square flux grid>
-    grid_cells = <cells per side, even>
+    grid_extent = <side of the square flux grid>   # extent x extent meters
+    grid_cells = <cells per side, even>            # cells x cells square cells
 
     [heliostat NAME]             # required, one section per heliostat
     position = <X'>, <Y'>, <Z'>  # required, X' > 0
@@ -34,12 +34,16 @@ Grammar (all angles in degrees, lengths in meters):
 
     [run]                        # optional
     engine = grt | conv | both
-    cases = <comma list of single, symmetric_pair>
+    cases = <comma list of single, symmetric_pair, each at most once>
     dni = <direct normal irradiance, W/m^2>
     out = <output directory>
     surface_samples = <per facet axis>
     radial_nodes = <sun-cone rings>
     azimuth_nodes = <sun-cone spokes>
+
+Heliostat names and schedule labels become part of output file names, so
+neither may hold a path separator; with case symmetric_pair no heliostat
+may carry the name of another's mirror twin, NAME_mirror.
 
 ``KEYS`` lists every key with its type and bounds.  A key absent from the
 file takes the default of the dataclass field it fills; ``--validate-only``
@@ -49,6 +53,7 @@ errors; every default that applies is recorded in the config echo.
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from importlib import resources
@@ -111,7 +116,7 @@ class SceneConfig:
             "sunshape": {**vars(self.sunshape),
                          "half_angle_deg": math.degrees(self.sunshape.half_angle)},
             "receiver": {"diameter": self.receiver.diameter,
-                         "grid_extent": grid.extent_y, "grid_cells": grid.cells_y},
+                         "grid_extent": grid.extent, "grid_cells": grid.cells},
         }
         lines = [f"{section}.{key} = {_text(values[key])}"
                  for section, values in shown.items() for key in KEYS[section]]
@@ -184,6 +189,12 @@ def _section(section, items, where=None, required=()):
     return {key: _parse(where, key, raw, *keys[key]) for key, raw in items.items()}
 
 
+def _file_safe(where, key, name):
+    """A name that becomes part of an output file name holds no path separator."""
+    if any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"[{where}] {key}: {name!r} contains a path separator")
+
+
 def _build(where, make, *args, **values):
     try:
         return make(*args, **values)
@@ -193,6 +204,7 @@ def _build(where, make, *args, **values):
 
 def _parse_heliostat(name, items):
     where = f"heliostat {name}"
+    _file_safe(where, "name", name)
     values = _section("heliostat", items, where, required=("position",))
     if len(values["position"]) != 3:
         raise ConfigError(f"[{where}] position needs three coordinates")
@@ -237,6 +249,8 @@ def _parse_schedule(items, site):
     if labels:
         if len(labels) != len(entries):
             raise ConfigError("[schedule] labels: count does not match the schedule length")
+        for label in labels:
+            _file_safe("schedule", "labels", label)
         entries = [(label, pos) for label, (_, pos) in zip(labels, entries)]
     if not entries:
         raise ConfigError("[schedule] the schedule is empty")
@@ -317,11 +331,8 @@ def load_config(path):
     sunshape = _build("sunshape", SunshapeModel, **shape)
 
     recv = _section("receiver", sections["receiver"], required=("diameter",))
-    grid = {}
-    if "grid_extent" in recv:
-        grid["extent_y"] = grid["extent_z"] = recv.pop("grid_extent")
-    if "grid_cells" in recv:
-        grid["cells_y"] = grid["cells_z"] = recv.pop("grid_cells")
+    grid = {key.removeprefix("grid_"): recv.pop(key)
+            for key in ("grid_extent", "grid_cells") if key in recv}
     receiver = _build("receiver", ReceiverSpec, grid=_build("receiver", GridSpec, **grid),
                       **recv)
 
@@ -331,13 +342,30 @@ def load_config(path):
     reference = _parse_reference(sections.get("reference", {}), site)
 
     run = _section("run", sections.get("run", {}))
-    if run.get("cases") == ():
-        raise ConfigError("[run] cases: at least one case is required")
     if "out" in run:
         run["out_dir"] = run.pop("out")
-    return SceneConfig(site=site, sunshape=sunshape, receiver=receiver,
-                       heliostats=heliostats, schedule=schedule, reference=reference,
-                       **run)
+    config = SceneConfig(site=site, sunshape=sunshape, receiver=receiver,
+                         heliostats=heliostats, schedule=schedule, reference=reference,
+                         **run)
+    _check_cases(config)
+    return config
+
+
+def _check_cases(config):
+    """Every case is listed once, and no case's mirror twin takes a heliostat's name."""
+    cases = config.cases
+    if not cases:
+        raise ConfigError("[run] cases: at least one case is required")
+    for case in cases:
+        if cases.count(case) > 1:
+            raise ConfigError(f"[run] cases: {case!r} is listed more than once")
+    names = {h.name for h in config.heliostats}
+    for case in (c for c in cases if CASE_TWINS[c]):
+        for h in config.heliostats:
+            twin = h.mirrored().name
+            if twin in names:
+                raise ConfigError(f"[heliostat {twin}] the name is taken by the mirror "
+                                  f"twin of heliostat {h.name!r} in case {case!r}")
 
 
 def with_overrides(config, engine=None, out_dir=None, grid_cells=None,
@@ -352,8 +380,7 @@ def with_overrides(config, engine=None, out_dir=None, grid_cells=None,
         config = replace(config, out_dir=out_dir)
     if grid_cells is not None:
         _bounded("receiver", "grid_cells", grid_cells, *KEYS["receiver"]["grid_cells"][1:])
-        grid = _build("receiver", replace, config.receiver.grid,
-                      cells_y=grid_cells, cells_z=grid_cells)
+        grid = _build("receiver", replace, config.receiver.grid, cells=grid_cells)
         config = replace(config, receiver=replace(config.receiver, grid=grid))
     if surface_samples is not None:
         _bounded("run", "surface_samples", surface_samples,

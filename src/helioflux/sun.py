@@ -232,7 +232,8 @@ def build_kernel(model, path_length, beam_dir, grid):
     beam tilt) and semi-major axis L theta_s / cos(beta) along it, where
     cos(beta) = |beam . normal|.  The kernel samples that elliptical
     radiance footprint at grid-cell resolution (3x3 subsamples per cell)
-    and normalizes to unit sum.
+    and normalizes to unit sum.  The result is an odd-sided square centred
+    on the beam; a sun smaller than a cell gives the 1x1 delta [[1.0]].
 
     The receiver plane is the world Y'Z' plane with normal +X' (see
     ``receiver``), so cos(beta) = -beam_x; the beam must hit the front
@@ -240,13 +241,13 @@ def build_kernel(model, path_length, beam_dir, grid):
     """
     if path_length <= 0.0:
         raise ValueError("path length must be positive")
-    cos_beta = -beam_dir[0]
+    cos_beta = -float(beam_dir[0])  # Python float: a grazing beam makes r_major inf, no warning
     if cos_beta <= 0.0:
         raise DegenerateGeometry("beam does not hit the receiver front face")
 
     r_minor = path_length * model.half_angle
     r_major = r_minor / cos_beta
-    if 2.0 * r_major > 0.5 * min(grid.extent_y, grid.extent_z):
+    if 2.0 * r_major > 0.5 * grid.extent:
         raise KernelAliasingError(
             f"kernel support {2.0 * r_major:.3f} m exceeds half the grid extent")
 
@@ -265,28 +266,21 @@ def build_kernel(model, path_length, beam_dir, grid):
 
     offsets = (np.arange(size) - half) * cell
     sub = (np.arange(3) - 1.0) * (cell / 3.0)
-    dy = (offsets[:, None] + sub[None, :]).ravel()  # (size*3,)
-    dz = dy.copy()
+    d = (offsets[:, None] + sub[None, :]).ravel()  # (size*3,), along y' and z' alike
 
-    dp = dy[:, None] * p[0] + dz[None, :] * p[1]
-    dq = dy[:, None] * q[0] + dz[None, :] * q[1]
+    dp = d[:, None] * p[0] + d[None, :] * p[1]
+    dq = d[:, None] * q[0] + d[None, :] * q[1]
     rho = np.hypot(dp * cos_beta, dq) / r_minor
     values = np.zeros_like(rho)
     inside = rho <= 1.0
-    if np.any(inside):
-        values[inside] = sunshape_radiance(model, rho[inside])
+    values[inside] = sunshape_radiance(model, rho[inside])
     kernel = values.reshape(size, 3, size, 3).mean(axis=(1, 3))
-
-    total = kernel.sum()
-    if total == 0.0:
-        kernel[half, half] = 1.0  # sub-cell sun: degenerate to a delta
-        total = 1.0
-    kernel = kernel / total
+    kernel = kernel / kernel.sum()
 
     # trim the all-zero border so a sub-cell kernel collapses to 1x1 and the
-    # convolution with it degenerates to the exact identity
+    # convolution with it degenerates to the exact identity; the centre
+    # subsample sits at rho = 0 exactly, where B = 1, so the centre cell is
+    # never zero
     nonzero = np.nonzero(kernel)
-    reach = 0
-    if nonzero[0].size:
-        reach = int(max(np.abs(nonzero[0] - half).max(), np.abs(nonzero[1] - half).max()))
+    reach = int(max(np.abs(nonzero[0] - half).max(), np.abs(nonzero[1] - half).max()))
     return kernel[half - reach:half + reach + 1, half - reach:half + reach + 1]

@@ -240,9 +240,7 @@ def test_criterion_9_convolution_identity_and_grid_refinement(table1_config):
 
         peaks = {}
         for cells in (256, 512):
-            grid = hf.GridSpec(extent_y=table1_config.receiver.grid.extent_y,
-                               extent_z=table1_config.receiver.grid.extent_z,
-                               cells_y=cells, cells_z=cells)
+            grid = hf.GridSpec(extent=table1_config.receiver.grid.extent, cells=cells)
             m = hf.convolve_flux(facets, entry.position, table1_config.sunshape,
                                  hf.ReceiverSpec(
                                      diameter=table1_config.receiver.diameter,

@@ -1,0 +1,24 @@
+"""Every demo script runs to completion against the package under test."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import helioflux as hf
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+@pytest.mark.parametrize("demo", sorted(name for name in os.listdir(DEMOS)
+                                        if name.endswith(".py")))
+def test_demo_runs(demo, tmp_path):
+    # The child runs from its own working directory, where a relative
+    # PYTHONPATH resolves to nothing; point it at the package under test.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

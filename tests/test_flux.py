@@ -61,7 +61,7 @@ def reference_facets(variant="off_axis", sun=None):
 
 def test_grt_conserves_power_flat_facet():
     facets = single_flat_facet_scene()
-    grid = hf.GridSpec(extent_y=8.0, extent_z=8.0, cells_y=256, cells_z=256)
+    grid = hf.GridSpec(extent=8.0, cells=256)
     m = hf.trace_flux_grt(facets, NORMAL_SUN, hf.SunshapeModel(kind="pillbox"),
                           hf.ReceiverSpec(grid=grid))
     expected = analytic_aperture_power(facets, NORMAL_SUN)
@@ -86,7 +86,7 @@ def test_grt_point_sun_stigmatic_focus():
     iy, iz = np.nonzero(m.values)
     assert iy.size > 0
     assert iy.max() - iy.min() <= 1 and iz.max() - iz.min() <= 1
-    centre = m.grid.cells_y // 2
+    centre = m.grid.cells // 2
     assert {centre - 1, centre} >= set(iy.tolist())
     assert {centre - 1, centre} >= set(iz.tolist())
     assert m.total_power == pytest.approx(analytic_aperture_power(facets, NORMAL_SUN),
@@ -107,7 +107,7 @@ def test_grt_rejects_backlit_facet():
 
 def test_grt_counts_spill_not_error():
     facets = single_flat_facet_scene()
-    tiny = hf.GridSpec(extent_y=0.5, extent_z=0.5, cells_y=32, cells_z=32)
+    tiny = hf.GridSpec(extent=0.5, cells=32)
     m = hf.trace_flux_grt(facets, NORMAL_SUN, hf.SunshapeModel(kind="pillbox"),
                           hf.ReceiverSpec(grid=tiny))
     assert m.spilled_power > 0.0
@@ -144,7 +144,7 @@ def test_grt_grazing_and_receding_rays_spill_without_warnings():
     dirs = np.array([[-1.0, 0.0, 0.0], [-1e-300, 0.0, 1.0], [-1e-310, 0.0, 1.0],
                      [0.0, 0.6, 0.8], [0.3, 0.0, 0.95], [-0.28, 0.96, 0.0]])
     weights = np.full(len(dirs), 0.2)
-    grid = hf.GridSpec(extent_y=4.0, extent_z=4.0, cells_y=64, cells_z=64)
+    grid = hf.GridSpec(extent=4.0, cells=64)
     dni = 800.0
     power, spilled = flux._trace_spot(facets, dirs, weights, dirs[-1], grid, dni, 8)
     expected = dni * sum(f.area * f.reflectivity
@@ -159,20 +159,20 @@ def test_grt_grazing_and_receding_rays_spill_without_warnings():
 def _reference_deposit(y, z, weights, grid):
     """Deposit of the unchunked ray loop below."""
     cell = grid.cell_size
-    iy = np.floor((y + 0.5 * grid.extent_y) / cell).astype(np.int64)
-    iz = np.floor((z + 0.5 * grid.extent_z) / cell).astype(np.int64)
-    ok = (iy >= 0) & (iy < grid.cells_y) & (iz >= 0) & (iz < grid.cells_z)
-    flat = iy[ok] * grid.cells_z + iz[ok]
-    power = np.bincount(flat, weights=weights[ok],
-                        minlength=grid.cells_y * grid.cells_z)
+    n = grid.cells
+    iy = np.floor((y + 0.5 * grid.extent) / cell).astype(np.int64)
+    iz = np.floor((z + 0.5 * grid.extent) / cell).astype(np.int64)
+    ok = (iy >= 0) & (iy < n) & (iz >= 0) & (iz < n)
+    flat = iy[ok] * n + iz[ok]
+    power = np.bincount(flat, weights=weights[ok], minlength=n * n)
     spilled = float(weights.sum() - weights[ok].sum())
-    return power.reshape(grid.cells_y, grid.cells_z), spilled
+    return power.reshape(n, n), spilled
 
 
 def _reference_trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni,
                           surface_samples):
     """The ray loop before chunking: whole-facet arrays, one deposit per facet."""
-    power = np.zeros((grid.cells_y, grid.cells_z))
+    power = np.zeros((grid.cells, grid.cells))
     spilled = 0.0
     for facet in facets:
         points, normals, cell_area = facet.sample_grid(surface_samples)
@@ -221,7 +221,7 @@ def test_chunked_ray_kernel_matches_unchunked_reference(samples, nodes, extent, 
         dirs, weights = hf.cone_directions(hf.SunshapeModel(half_angle=2.5e-3), s, *nodes)
     rows = max(1, flux._CHUNK_RAYS // len(dirs))
     assert nodes is None or (samples * samples > rows and samples * samples % rows)
-    grid = hf.GridSpec(extent_y=extent, extent_z=extent, cells_y=cells, cells_z=cells)
+    grid = hf.GridSpec(extent=extent, cells=cells)
     power, spilled = flux._trace_spot(facets, dirs, weights, s, grid, 1.0, samples)
     ref_power, ref_spilled = _reference_trace_spot(facets, dirs, weights, s, grid, 1.0,
                                                    samples)
@@ -262,14 +262,14 @@ def test_convolution_total_matches_stage1():
 
 def test_convolution_flat_facet_footprint():
     facets = single_flat_facet_scene()
-    grid = hf.GridSpec(extent_y=8.0, extent_z=8.0, cells_y=512, cells_z=512)
+    grid = hf.GridSpec(extent=8.0, cells=512)
     shape = hf.SunshapeModel(kind="pillbox", half_angle=4.65e-3)
     m = hf.convolve_flux(facets, NORMAL_SUN, shape, hf.ReceiverSpec(grid=grid))
     # a flat mirror cannot concentrate: the peak stays below one sun
     assert m.values.max() <= 1.0 + 1e-9
     assert m.values.max() > 0.5
     # footprint = facet image (about 1 m at 30 deg receiver tilt) + sun disc
-    occupied = np.abs(m.grid.centres_y()[np.any(m.values > 1e-9, axis=1)])
+    occupied = np.abs(m.grid.centres()[np.any(m.values > 1e-9, axis=1)])
     assert occupied.max() < 0.5 / math.cos(math.radians(30.0)) + 0.93 / 2 + 0.1
 
 
@@ -279,7 +279,7 @@ def test_convolution_rejects_grid_smaller_than_spot():
     # than 1% of the power off the grid
     facets = reference_facets(variant="spherical",
                               sun=hf.SunPosition(azimuth=54.562, elevation=29.786))
-    small = hf.GridSpec(extent_y=0.5, extent_z=0.5, cells_y=32, cells_z=32)
+    small = hf.GridSpec(extent=0.5, cells=32)
     shape = hf.SunshapeModel(half_angle=0.3e-3)
     with pytest.raises(GridTooSmall):
         hf.convolve_flux(facets, hf.SunPosition(azimuth=54.562, elevation=29.786),
@@ -301,7 +301,7 @@ def test_convolution_peak_stable_under_grid_refinement():
     shape = hf.SunshapeModel(half_angle=2.5e-3)
     peaks = {}
     for cells in (256, 512):
-        grid = hf.GridSpec(cells_y=cells, cells_z=cells)
+        grid = hf.GridSpec(cells=cells)
         peaks[cells] = hf.convolve_flux(facets, sun, shape,
                                         hf.ReceiverSpec(grid=grid)).values.max()
     assert abs(peaks[512] / peaks[256] - 1.0) < 0.01
@@ -311,10 +311,8 @@ def test_convolution_peak_stable_under_grid_refinement():
 
 def make_map(values, **kwargs):
     values = np.asarray(values, dtype=float)
-    grid = kwargs.pop("grid", hf.GridSpec(extent_y=1.0 * values.shape[0],
-                                          extent_z=1.0 * values.shape[1],
-                                          cells_y=values.shape[0],
-                                          cells_z=values.shape[1]))
+    grid = kwargs.pop("grid", hf.GridSpec(extent=1.0 * values.shape[0],
+                                          cells=values.shape[0]))
     defaults = dict(grid=grid, dni=1.0, engine="test",
                     sun=hf.SunPosition(azimuth=0.0, elevation=45.0),
                     heliostat_ids=("t",), spilled_power=0.0)
@@ -355,7 +353,7 @@ def test_map_add_merges_heliostat_ids():
 
 
 def test_map_stats_uniform_and_delta():
-    uniform = make_map(np.ones((2, 2)), grid=hf.GridSpec(1.0, 1.0, 2, 2))
+    uniform = make_map(np.ones((2, 2)), grid=hf.GridSpec(1.0, 2))
     stats = hf.map_stats(uniform)
     assert stats["peak"] == 1.0
     assert stats["total_power"] == pytest.approx(1.0, abs=1e-12)
@@ -364,10 +362,10 @@ def test_map_stats_uniform_and_delta():
 
     values = np.zeros((4, 4))
     values[3, 1] = 5.0
-    delta = make_map(values, grid=hf.GridSpec(4.0, 4.0, 4, 4))
+    delta = make_map(values, grid=hf.GridSpec(4.0, 4))
     stats = hf.map_stats(delta)
-    assert stats["centroid"][0] == pytest.approx(delta.grid.centres_y()[3], abs=1e-12)
-    assert stats["centroid"][1] == pytest.approx(delta.grid.centres_z()[1], abs=1e-12)
+    assert stats["centroid"][0] == pytest.approx(delta.grid.centres()[3], abs=1e-12)
+    assert stats["centroid"][1] == pytest.approx(delta.grid.centres()[1], abs=1e-12)
 
 
 def test_map_stats_rejects_empty():
@@ -409,8 +407,6 @@ def test_grt_is_linear_over_heliostats():
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
-        hf.GridSpec(cells_y=255, cells_z=255)  # odd
+        hf.GridSpec(cells=255)  # odd
     with pytest.raises(ValueError):
-        hf.GridSpec(extent_y=4.0, extent_z=2.0, cells_y=256, cells_z=256)  # not square
-    with pytest.raises(ValueError):
-        hf.GridSpec(extent_y=-1.0)
+        hf.GridSpec(extent=-1.0)

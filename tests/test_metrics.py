@@ -11,9 +11,7 @@ import helioflux.metrics as metrics
 
 def make_map(values, grid=None):
     values = np.asarray(values, dtype=float)
-    grid = grid or hf.GridSpec(extent_y=float(values.shape[0]),
-                               extent_z=float(values.shape[1]),
-                               cells_y=values.shape[0], cells_z=values.shape[1])
+    grid = grid or hf.GridSpec(extent=float(values.shape[0]), cells=values.shape[0])
     return hf.FluxMap(values=values, grid=grid, dni=1.0, engine="test",
                       sun=hf.SunPosition(azimuth=0.0, elevation=45.0),
                       heliostat_ids=("t",))
@@ -45,7 +43,7 @@ def test_noon_gain_within_published_band(table1_run):
 
 def test_intercepted_power_limits():
     rng = np.random.default_rng(3)
-    m = make_map(rng.uniform(size=(16, 16)), grid=hf.GridSpec(2.0, 2.0, 16, 16))
+    m = make_map(rng.uniform(size=(16, 16)), grid=hf.GridSpec(2.0, 16))
     assert hf.intercepted_power(m, 100.0) == pytest.approx(1.0, abs=1e-12)
     assert hf.intercepted_power(m, 1e-6) == 0.0
     with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ def test_bundled_scene_reproduces_reference_parameters(table1_config):
     assert h.focal_length == 100.0
     assert (h.width, h.height) == (3.4, 3.0)
     assert config.receiver.diameter == 1.2
-    assert config.receiver.grid.cells_y == 256
+    assert config.receiver.grid.cells == 256
     assert config.reference.azimuth == 0.0
     assert config.reference.elevation == pytest.approx(44.63, abs=1e-9)
     assert [e.label for e in config.schedule] == \
@@ -125,6 +125,34 @@ def test_duplicate_heliostat_names_rejected(tmp_path):
     body = MINIMAL + "\n[heliostat h1]\nposition = 86.6, -50.0, 0.0\n"
     with pytest.raises(ConfigError):
         hf.load_config(write_scene(tmp_path, body))
+
+
+def test_heliostat_named_like_a_mirror_twin_rejected(tmp_path):
+    # with the default symmetric_pair case, h1's twin is named h1_mirror
+    body = MINIMAL + "\n[heliostat h1_mirror]\nposition = 95.0, -20.0, -3.0\n"
+    with pytest.raises(ConfigError, match="h1_mirror.*twin of heliostat 'h1'"):
+        hf.load_config(write_scene(tmp_path, body))
+    config = hf.load_config(write_scene(tmp_path, body + "\n[run]\ncases = single\n"))
+    assert [h.name for h in config.heliostats] == ["h1", "h1_mirror"]
+
+
+def test_repeated_case_rejected(tmp_path):
+    body = MINIMAL + "\n[run]\ncases = single, symmetric_pair, single\n"
+    with pytest.raises(ConfigError, match="'single' is listed more than once"):
+        hf.load_config(write_scene(tmp_path, body))
+
+
+@pytest.mark.parametrize("body, key", [
+    (MINIMAL.replace("[heliostat h1]", "[heliostat a/b]"), "[heliostat a/b] name"),
+    (MINIMAL.replace("hours = 12.0", "hours = 12.0\nlabels = x/y"), "[schedule] labels"),
+], ids=["heliostat", "label"])
+def test_path_separator_in_file_name_rejected(body, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", write_scene(tmp_path, body), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {key}: ")
+    assert err.endswith("contains a path separator\n") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_heliostat_behind_receiver_rejected(tmp_path):
@@ -217,7 +245,7 @@ def test_overrides(table1_config):
                                grid_cells=128, surface_samples=16)
     assert config.engine == "conv"
     assert config.out_dir == "elsewhere"
-    assert config.receiver.grid.cells_y == 128
+    assert config.receiver.grid.cells == 128
     assert config.surface_samples == 16
     # original untouched
     assert table1_config.engine == "both"

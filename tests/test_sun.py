@@ -5,6 +5,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import helioflux as hf
 from helioflux import flux
@@ -287,7 +288,7 @@ def test_kernel_oblique_ellipse_axes_vs_monte_carlo():
 
 @pytest.mark.parametrize("cells", [64, 256, 1024])
 def test_kernel_unit_sum_across_grids(cells):
-    grid = hf.GridSpec(cells_y=cells, cells_z=cells)
+    grid = hf.GridSpec(cells=cells)
     model = hf.SunshapeModel()
     beam = hf.normalize(np.array([-0.866, -0.5, 0.0]))
     kernel = hf.build_kernel(model, 100.0, beam, grid)
@@ -302,8 +303,41 @@ def test_limb_darkened_kernel_peaks_above_pillbox():
     assert limb.max() >= pill.max()
 
 
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["pillbox", "limb_darkened"]),
+       half_angle=st.floats(1e-5, 0.0199),
+       limb=st.floats(0.0, 1.0),
+       path_length=st.floats(1.0, 200.0),
+       beam=st.tuples(st.floats(-1.0, 0.1), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       extent=st.floats(0.1, 20.0),
+       half_cells=st.integers(1, 128))
+@example(kind="pillbox", half_angle=4.65e-3, limb=0.5, path_length=100.0,
+         beam=(-5e-324, 1.0, 0.0), extent=4.0, half_cells=128)  # grazing beam
+def test_kernel_properties_on_random_square_grids(kind, half_angle, limb, path_length,
+                                                  beam, extent, half_cells):
+    norm = math.sqrt(sum(b * b for b in beam))
+    assume(norm > 1e-3)
+    beam = np.array(beam) / norm
+    model = hf.SunshapeModel(kind=kind, half_angle=half_angle, limb_coefficient=limb)
+    grid = hf.GridSpec(extent=extent, cells=2 * half_cells)
+    try:
+        kernel = hf.build_kernel(model, path_length, beam, grid)
+    except (KernelAliasingError, DegenerateGeometry):
+        return
+    size = kernel.shape[0]
+    assert kernel.shape == (size, size) and size % 2 == 1
+    assert np.all(np.isfinite(kernel)) and np.all(kernel >= 0.0)
+    assert abs(kernel.sum() - 1.0) <= 1e-12
+    assert kernel[size // 2, size // 2] > 0.0
+    # the nearest off-centre subsample lies a third of a cell away: a sun
+    # ellipse inside that radius covers one subsample and is an exact delta
+    r_major = path_length * half_angle / -beam[0]
+    if r_major < 0.999 * grid.cell_size / 3.0:
+        assert kernel.tolist() == [[1.0]]
+
+
 def test_kernel_aliasing_guard():
-    grid = hf.GridSpec(extent_y=1.0, extent_z=1.0, cells_y=64, cells_z=64)
+    grid = hf.GridSpec(extent=1.0, cells=64)
     model = hf.SunshapeModel(half_angle=4.65e-3)
     beam = np.array([-1.0, 0.0, 0.0])
     with pytest.raises(KernelAliasingError):
