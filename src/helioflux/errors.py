@@ -26,4 +26,9 @@ class GridMismatch(HelioFluxError):
 
 
 class ConfigError(HelioFluxError):
-    """A scene configuration file failed to parse or validate."""
+    """A scene failed to parse or validate.
+
+    Raised for a scene file and for a ``SceneConfig`` built or varied in
+    code (``dataclasses.replace``): ``SceneConfig`` checks its DNI and
+    ``metrics.case_heliostats`` its cases when ``day_course`` runs it.
+    """

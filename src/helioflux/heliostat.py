@@ -46,6 +46,8 @@ class HeliostatSpec:
     def __post_init__(self):
         if self.modules_across <= 0 or self.modules_up <= 0:
             raise ValueError("module counts must be positive")
+        if self.module_width <= 0.0 or self.module_height <= 0.0:
+            raise ValueError("module sizes must be positive")
         if self.modules_across * self.module_width > self.width + 1e-9:
             raise ValueError("modules are wider than the heliostat")
         if self.modules_up * self.module_height > self.height + 1e-9:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .flux import convolve_flux, map_add, trace_flux_grt
 from .heliostat import (module_centres, off_axis_canting, off_axis_context,
                         realize_modules, spherical_canting)
@@ -67,9 +68,26 @@ class ConcentrationReport:
     engine_rms: dict = field(default_factory=dict)
 
 
-def _case_heliostats(scene, case):
-    twins = [h.mirrored() for h in scene.heliostats] if CASE_TWINS[case] else []
-    return list(scene.heliostats) + twins
+def case_heliostats(scene):
+    """Each case's heliostats, mirror twins included, keyed by case.
+
+    Raises ConfigError for an empty case list, a repeated case, or a mirror
+    twin that takes the name of a scene heliostat.
+    """
+    if not scene.cases:
+        raise ConfigError("[run] cases: at least one case is required")
+    names = {h.name for h in scene.heliostats}
+    members = {}
+    for case in scene.cases:
+        if case in members:
+            raise ConfigError(f"[run] cases: {case!r} is listed more than once")
+        twins = [h.mirrored() for h in scene.heliostats] if CASE_TWINS[case] else []
+        for h, twin in zip(scene.heliostats, twins):
+            if twin.name in names:
+                raise ConfigError(f"[heliostat {twin.name}] the name is taken by the "
+                                  f"mirror twin of heliostat {h.name!r} in case {case!r}")
+        members[case] = list(scene.heliostats) + twins
+    return members
 
 
 def frozen_cantings(h, layout, reference):
@@ -121,7 +139,7 @@ def day_course(scene, collect_maps=False):
                                  cases=tuple(cases), variants=VARIANTS,
                                  engine=engines[-1])
 
-    members = {case: _case_heliostats(scene, case) for case in cases}
+    members = case_heliostats(scene)
     report.heliostats = {h.name: h for case in cases for h in members[case]}
     layouts = {name: module_centres(h) for name, h in report.heliostats.items()}
     report.cantings = {name: frozen_cantings(h, layouts[name], scene.reference)

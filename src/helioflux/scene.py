@@ -25,8 +25,8 @@ Grammar (all angles in degrees, lengths in meters):
 
     [schedule]                   # required; exactly one of hours/angles/times
     hours = 9.0, 10.5, 12.0      # ideal equinox path at the site latitude
-    # angles = -54.5 29.8; 0 44.63; 54.5 29.8
-    # times = 2022-09-23T09:00; 2022-09-23T12:00   (UTC, uses the ephemeris)
+    # angles = -54.5 29.8; 0 44.63; 54.5 29.8   (<azimuth> <elevation> entries)
+    # times = 2022-09-23T09:00; 2022-09-23T12:00   (ISO, 1950-2100, uses the ephemeris)
     # labels = morning, noon, afternoon   (one per schedule entry)
 
     [reference]                  # optional
@@ -35,15 +35,21 @@ Grammar (all angles in degrees, lengths in meters):
     [run]                        # optional
     engine = grt | conv | both
     cases = <comma list of single, symmetric_pair, each at most once>
-    dni = <direct normal irradiance, W/m^2>
+    dni = <direct normal irradiance, W/m^2, positive>
     out = <output directory>
     surface_samples = <per facet axis>
     radial_nodes = <sun-cone rings>
     azimuth_nodes = <sun-cone spokes>
 
+Every sun position, whether a schedule entry or the reference, lies above
+the horizon: elevation in (0, 90] degrees.  ``angles`` entries and
+``reference sun`` share the ``<azimuth> <elevation>`` form; a ``times``
+entry without a zone is UTC.
+
 Heliostat names and schedule labels become part of output file names, so
-neither may hold a path separator; with case symmetric_pair no heliostat
-may carry the name of another's mirror twin, NAME_mirror.
+neither may hold a path separator.  ``metrics.case_heliostats`` owns the
+case rule: each case at most once, and with case symmetric_pair no
+heliostat may carry the name of another's mirror twin, NAME_mirror.
 
 ``KEYS`` lists every key with its type and bounds.  A key absent from the
 file takes the default of the dataclass field it fills; ``--validate-only``
@@ -55,13 +61,13 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from datetime import datetime
 from importlib import resources
 
 from .errors import ConfigError
 from .flux import DEFAULT_AZIMUTH_NODES, DEFAULT_RADIAL_NODES, DEFAULT_SURFACE_SAMPLES
 from .heliostat import HeliostatSpec
-from .metrics import CASE_TWINS, ENGINES
+from .metrics import CASE_TWINS, ENGINES, case_heliostats
 from .receiver import GridSpec, ReceiverSpec
 from .sun import (ScheduleEntry, SiteSpec, SunPosition, SunshapeModel, ephemeris,
                   hour_label, ideal_equinox_position)
@@ -76,15 +82,15 @@ KEYS = {
                  "grid_cells": (int, 16, None)},
     "heliostat": {"position": ([float], None, None), "width": (float, 0.0, None),
                   "height": (float, 0.0, None), "modules_across": (int, 1, None),
-                  "modules_up": (int, 1, None), "module_width": (float, 0.0, None),
-                  "module_height": (float, 0.0, None),
+                  "modules_up": (int, 1, None), "module_width": (float, None, None),
+                  "module_height": (float, None, None),
                   "focal_length": (float, 80.0, 120.0),
                   "reflectivity": (float, 0.0, 1.0)},
     "schedule": {"hours": ([float], 0.0, 24.0), "angles": (str, None, None),
                  "times": (str, None, None), "labels": ([str], None, None)},
     "reference": {"sun": (str, None, None)},
     "run": {"engine": (ENGINES, None, None), "cases": ([CASE_TWINS], None, None),
-            "dni": (float, 0.0, None), "out": (str, None, None),
+            "dni": (float, None, None), "out": (str, None, None),
             "surface_samples": (int, 2, None), "radial_nodes": (int, 1, None),
             "azimuth_nodes": (int, 4, None)},
 }
@@ -107,6 +113,10 @@ class SceneConfig:
     surface_samples: int = DEFAULT_SURFACE_SAMPLES
     radial_nodes: int = DEFAULT_RADIAL_NODES
     azimuth_nodes: int = DEFAULT_AZIMUTH_NODES
+
+    def __post_init__(self):
+        if not self.dni > 0.0:
+            raise ConfigError(f"[run] dni: {self.dni!r} is not positive")
 
     def echo(self):
         """Every effective parameter as '<section>.<key> = <value>' lines."""
@@ -144,8 +154,8 @@ def table1_scene_path():
     return str(resources.files("helioflux").joinpath("data/table1.scene"))
 
 
-def _split_list(raw):
-    return [item.strip() for item in raw.split(",") if item.strip()]
+def _split_list(raw, sep):
+    return [item.strip() for item in raw.split(sep) if item.strip()]
 
 
 def _bounded(where, key, value, minimum, maximum):
@@ -160,7 +170,7 @@ def _parse(where, key, raw, kind, minimum, maximum):
     """One typed, bounds-checked value; a ConfigError names the key otherwise."""
     if isinstance(kind, list):
         return tuple(_parse(where, key, item, kind[0], minimum, maximum)
-                     for item in _split_list(raw))
+                     for item in _split_list(raw, ","))
     if isinstance(kind, dict):
         if raw.strip() not in kind:
             raise ConfigError(f"[{where}] {key}: {raw.strip()!r} is not one of "
@@ -202,6 +212,23 @@ def _build(where, make, *args, **values):
         raise ConfigError(f"[{where}] {exc}") from None
 
 
+def _sun_position(where, key, raw):
+    """An '<azimuth> <elevation>' pair in degrees."""
+    parts = raw.split()
+    if len(parts) != 2:
+        raise ConfigError(f"[{where}] {key}: expected '<azimuth> <elevation>', "
+                          f"got {raw!r}")
+    return _build(where, SunPosition, *(_parse(where, key, p, float, None, None)
+                                        for p in parts))
+
+
+def _above_horizon(where, pos):
+    if pos.elevation <= 0.0:
+        raise ConfigError(f"{where} elevation {pos.elevation:.2f} deg is not above "
+                          "the horizon")
+    return pos
+
+
 def _parse_heliostat(name, items):
     where = f"heliostat {name}"
     _file_safe(where, "name", name)
@@ -225,25 +252,17 @@ def _parse_schedule(items, site):
         for hour in values["hours"]:
             entries.append((hour_label(hour), ideal_equinox_position(site.latitude, hour)))
     elif modes[0] == "angles":
-        pairs = [p.strip() for p in values["angles"].split(";") if p.strip()]
-        for k, pair in enumerate(pairs):
-            parts = pair.split()
-            if len(parts) != 2:
-                raise ConfigError(f"[schedule] angles: entry {k}: expected "
-                                  f"'<azimuth> <elevation>', got {pair!r}")
-            az, el = (_parse("schedule", "angles", p, float, None, None) for p in parts)
-            entries.append((f"t{k:02d}", SunPosition(azimuth=az, elevation=el)))
+        for k, pair in enumerate(_split_list(values["angles"], ";")):
+            entries.append((f"t{k:02d}",
+                            _sun_position("schedule", f"angles: entry {k}", pair)))
     else:
-        stamps = [p.strip() for p in values["times"].split(";") if p.strip()]
-        for k, stamp in enumerate(stamps):
+        for k, stamp in enumerate(_split_list(values["times"], ";")):
             try:
                 t = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
             except ValueError:
                 raise ConfigError(f"[schedule] times: entry {k}: {stamp!r} is not an "
                                   "ISO datetime") from None
-            if t.tzinfo is None:
-                t = t.replace(tzinfo=timezone.utc)
-            entries.append((t.strftime("%Hh%M"), ephemeris(site, t)))
+            entries.append((t.strftime("%Hh%M"), _build("schedule", ephemeris, site, t)))
 
     labels = values.get("labels")
     if labels:
@@ -255,9 +274,7 @@ def _parse_schedule(items, site):
     if not entries:
         raise ConfigError("[schedule] the schedule is empty")
     for k, (label, pos) in enumerate(entries):
-        if pos.elevation <= 0.0:
-            raise ConfigError(f"[schedule] entry {k} ({label}): sun elevation "
-                              f"{pos.elevation:.2f} deg is not above the horizon")
+        _above_horizon(f"[schedule] entry {k} ({label}): sun", pos)
     seen = set()
     for label, _ in entries:
         if label in seen:
@@ -273,14 +290,7 @@ def _parse_reference(items, site):
             raise ConfigError("[reference] equinox-noon needs a site latitude in "
                               "(0, 90) degrees")
         return SunPosition(azimuth=0.0, elevation=90.0 - site.latitude)
-    parts = raw.split()
-    if len(parts) != 2:
-        raise ConfigError("[reference] sun: expected 'equinox-noon' or "
-                          "'<azimuth> <elevation>'")
-    az, el = (_parse("reference", "sun", p, float, None, None) for p in parts)
-    if el <= 0.0:
-        raise ConfigError(f"[reference] sun elevation {el} deg is not above the horizon")
-    return SunPosition(azimuth=az, elevation=el)
+    return _above_horizon("[reference] sun", _sun_position("reference", "sun", raw))
 
 
 def load_config(path):
@@ -347,25 +357,8 @@ def load_config(path):
     config = SceneConfig(site=site, sunshape=sunshape, receiver=receiver,
                          heliostats=heliostats, schedule=schedule, reference=reference,
                          **run)
-    _check_cases(config)
+    case_heliostats(config)
     return config
-
-
-def _check_cases(config):
-    """Every case is listed once, and no case's mirror twin takes a heliostat's name."""
-    cases = config.cases
-    if not cases:
-        raise ConfigError("[run] cases: at least one case is required")
-    for case in cases:
-        if cases.count(case) > 1:
-            raise ConfigError(f"[run] cases: {case!r} is listed more than once")
-    names = {h.name for h in config.heliostats}
-    for case in (c for c in cases if CASE_TWINS[c]):
-        for h in config.heliostats:
-            twin = h.mirrored().name
-            if twin in names:
-                raise ConfigError(f"[heliostat {twin}] the name is taken by the mirror "
-                                  f"twin of heliostat {h.name!r} in case {case!r}")
 
 
 def with_overrides(config, engine=None, out_dir=None, grid_cells=None,

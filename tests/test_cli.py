@@ -103,13 +103,34 @@ def test_pgm_format(fast_scene, tmp_path):
     assert image.max() == 65535  # scaled to the peak
 
 
-def test_cli_reports_config_error_single_line(tmp_path, capsys):
+def _with(after, line):
+    return FAST_SCENE.replace(after, after + "\n" + line)
+
+
+BAD_SCENES = {
+    "missing_sections": "[receiver]\ndiameter = 1.2\n",
+    "angles_above_zenith": FAST_SCENE.replace("hours = 9.0, 12.0", "angles = 0 95"),
+    "angles_below_nadir": FAST_SCENE.replace("hours = 9.0, 12.0",
+                                             "angles = 0 45; 10 -95"),
+    "reference_above_zenith": FAST_SCENE + "\n[reference]\nsun = 0 95\n",
+    "times_after_2100": FAST_SCENE.replace("hours = 9.0, 12.0",
+                                           "times = 2200-09-23T12:00"),
+    "dni_zero": _with("cases = single", "dni = 0.0"),
+    "module_width_zero": _with("position = 86.6, 50.0, 0.0", "module_width = 0.0"),
+    "module_height_zero": _with("position = 86.6, 50.0, 0.0", "module_height = 0.0"),
+}
+
+
+@pytest.mark.parametrize("body", BAD_SCENES.values(), ids=BAD_SCENES.keys())
+def test_cli_reports_config_error_single_line(body, tmp_path, capsys):
     bad = tmp_path / "bad.scene"
-    bad.write_text("[receiver]\ndiameter = 1.2\n", encoding="utf-8")
-    assert main(["run", str(bad)]) == 1
+    bad.write_text(body, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: ConfigError:")
+    assert err.startswith("error: ConfigError: ")
+    assert not out.exists()
 
 
 def test_cli_removes_partial_outputs_on_failure(tmp_path, capsys):

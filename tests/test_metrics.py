@@ -7,6 +7,7 @@ import pytest
 
 import helioflux as hf
 import helioflux.metrics as metrics
+from helioflux.errors import ConfigError
 
 
 def make_map(values, grid=None):
@@ -66,6 +67,22 @@ def test_off_axis_interception_beats_spherical_at_noon(noon_maps, table1_config)
 def test_day_course_rejects_empty_schedule(table1_config):
     with pytest.raises(ValueError):
         hf.day_course(dataclasses.replace(table1_config, schedule=()))
+
+
+def test_day_course_rejects_twin_name_collision(table1_config):
+    # a scene built in code never passes load_config's checks
+    h1 = table1_config.heliostats[0]
+    user = dataclasses.replace(h1, name="h1_mirror", position=(95.0, -20.0, -3.0))
+    scene = dataclasses.replace(table1_config, heliostats=(h1, user),
+                                cases=("symmetric_pair",))
+    with pytest.raises(ConfigError, match="h1_mirror.*twin of heliostat 'h1'"):
+        hf.day_course(scene)
+
+
+def test_day_course_rejects_repeated_case(table1_config):
+    scene = dataclasses.replace(table1_config, cases=("single", "single"))
+    with pytest.raises(ConfigError, match="'single' is listed more than once"):
+        hf.day_course(scene)
 
 
 def test_day_course_freezes_canting(table1_config, monkeypatch):
