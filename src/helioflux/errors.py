@@ -25,10 +25,12 @@ class GridMismatch(HelioFluxError):
     """Two flux maps do not share grid geometry or DNI normalization."""
 
 
-class ConfigError(HelioFluxError):
-    """A scene failed to parse or validate.
+class ConfigError(HelioFluxError, ValueError):
+    """A scene value failed to parse or is out of range.
 
-    Raised for a scene file and for a ``SceneConfig`` built or varied in
-    code (``dataclasses.replace``): ``SceneConfig`` checks its DNI and
-    ``metrics.case_heliostats`` its cases when ``day_course`` runs it.
+    The rules hold at construction: each scene dataclass (``SiteSpec``,
+    ``SunPosition``, ``SunshapeModel``, ``GridSpec``, ``ReceiverSpec``,
+    ``HeliostatSpec``, ``SceneConfig``) checks its own values, so a scene
+    read from a file and one built or varied in code with
+    ``dataclasses.replace`` obey the same rules and fail the same way.
     """

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometry
+from .errors import ConfigError, DegenerateGeometry
 from .geometry import bisector_normal, heliostat_frame
 from .sun import sun_vector
 
@@ -44,18 +44,23 @@ class HeliostatSpec:
     name: str = "heliostat"
 
     def __post_init__(self):
-        if self.modules_across <= 0 or self.modules_up <= 0:
-            raise ValueError("module counts must be positive")
-        if self.module_width <= 0.0 or self.module_height <= 0.0:
-            raise ValueError("module sizes must be positive")
-        if self.modules_across * self.module_width > self.width + 1e-9:
-            raise ValueError("modules are wider than the heliostat")
-        if self.modules_up * self.module_height > self.height + 1e-9:
-            raise ValueError("modules are taller than the heliostat")
-        if self.focal_length is not None and self.focal_length <= 0.0:
-            raise ValueError("focal length must be positive")
+        if len(self.position) != 3 or not all(map(math.isfinite, self.position)):
+            raise ConfigError("position needs three finite coordinates")
+        if not self.position[0] > 0.0:
+            raise ConfigError("position: X' must be positive so the receiver front face "
+                              "sees the heliostat")
+        if not (self.modules_across > 0 and self.modules_up > 0):
+            raise ConfigError("module counts must be positive")
+        if not (self.module_width > 0.0 and self.module_height > 0.0):
+            raise ConfigError("module sizes must be positive")
+        if not self.modules_across * self.module_width <= self.width + 1e-9:
+            raise ConfigError("modules are wider than the heliostat")
+        if not self.modules_up * self.module_height <= self.height + 1e-9:
+            raise ConfigError("modules are taller than the heliostat")
+        if self.focal_length is not None and not self.focal_length > 0.0:
+            raise ConfigError("focal length must be positive")
         if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError("reflectivity must be in [0, 1]")
+            raise ConfigError("reflectivity must be in [0, 1]")
 
     @property
     def position_array(self):

@@ -71,14 +71,18 @@ class ConcentrationReport:
 def case_heliostats(scene):
     """Each case's heliostats, mirror twins included, keyed by case.
 
-    Raises ConfigError for an empty case list, a repeated case, or a mirror
-    twin that takes the name of a scene heliostat.
+    Raises ConfigError for an empty case list, an unknown or repeated case,
+    or a mirror twin that takes the name of a scene heliostat.
+    ``SceneConfig`` calls it when it is built, so every scene meets it.
     """
     if not scene.cases:
         raise ConfigError("[run] cases: at least one case is required")
     names = {h.name for h in scene.heliostats}
     members = {}
     for case in scene.cases:
+        if case not in CASE_TWINS:
+            raise ConfigError(f"[run] cases: {case!r} is not one of "
+                              f"{', '.join(CASE_TWINS)}")
         if case in members:
             raise ConfigError(f"[run] cases: {case!r} is listed more than once")
         twins = [h.mirrored() for h in scene.heliostats] if CASE_TWINS[case] else []
@@ -125,15 +129,16 @@ def day_course(scene, collect_maps=False):
     addition, so a pair map is exactly the sum of its singles.
 
     The schedule, cases and engine are the scene's; run a variant of a
-    scene with ``dataclasses.replace`` or ``scene.with_overrides``.
+    scene with ``dataclasses.replace`` or ``scene.with_overrides``.  The
+    scene's rules (a non-empty schedule above the horizon, known cases and
+    engine) hold from its construction; a scene that reaches this function
+    already meets them.
     When the engine is "both", the reported numbers come from the
     convolution engine and the GRT maps feed the cross-engine RMS record.
     Returns the report, and the map dictionary keyed
     (label, variant, case, engine) when ``collect_maps`` is set.
     """
     schedule, cases = scene.schedule, scene.cases
-    if len(schedule) == 0:
-        raise ValueError("empty schedule")
     engines = ENGINES[scene.engine]
     report = ConcentrationReport(labels=tuple(e.label for e in schedule),
                                  cases=tuple(cases), variants=VARIANTS,

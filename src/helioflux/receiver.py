@@ -7,9 +7,12 @@ This module is the one place the plane is fixed: the flux engines and
 ``sun.build_kernel`` assume it rather than take a normal.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ConfigError
 
 RECEIVER_NORMAL = np.array([1.0, 0.0, 0.0])
 
@@ -26,12 +29,12 @@ class GridSpec:
     cells: int = 256
 
     def __post_init__(self):
-        if self.extent <= 0.0:
-            raise ValueError("grid extent must be positive")
-        if self.cells <= 0:
-            raise ValueError("cell count must be positive")
+        if not 0.0 < self.extent < math.inf:
+            raise ConfigError(f"grid extent {self.extent} is not positive and finite")
+        if not self.cells > 0:
+            raise ConfigError(f"grid cell count {self.cells} is not positive")
         if self.cells % 2:
-            raise ValueError("cell count must be even")
+            raise ConfigError(f"grid cell count {self.cells} is not even")
 
     @property
     def cell_size(self):
@@ -54,5 +57,6 @@ class ReceiverSpec:
     grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
-        if self.diameter <= 0.0:
-            raise ValueError("receiver diameter must be positive")
+        if not 0.0 < self.diameter < math.inf:
+            raise ConfigError(f"receiver diameter {self.diameter} is not positive "
+                              "and finite")

@@ -41,20 +41,38 @@ Grammar (all angles in degrees, lengths in meters):
     radial_nodes = <sun-cone rings>
     azimuth_nodes = <sun-cone spokes>
 
-Every sun position, whether a schedule entry or the reference, lies above
-the horizon: elevation in (0, 90] degrees.  ``angles`` entries and
-``reference sun`` share the ``<azimuth> <elevation>`` form; a ``times``
-entry without a zone is UTC.
+``angles`` entries and ``reference sun`` share the ``<azimuth> <elevation>``
+form; a ``times`` entry without a zone is UTC.
 
-Heliostat names and schedule labels become part of output file names, so
-neither may hold a path separator.  ``metrics.case_heliostats`` owns the
-case rule: each case at most once, and with case symmetric_pair no
-heliostat may carry the name of another's mirror twin, NAME_mirror.
+``KEYS`` lists every key with its type, and nothing else: this module
+parses.  Every number must be finite, and ``[schedule] hours`` lies in
+[0, 24], the one range no dataclass holds.  Each other range is checked
+once, at construction, by the dataclass that holds the value, so a scene
+read from a file and one varied in code with ``dataclasses.replace`` or
+``with_overrides`` meet the same rules:
 
-``KEYS`` lists every key with its type and bounds.  A key absent from the
-file takes the default of the dataclass field it fills; ``--validate-only``
-on a minimal scene prints every default.  Unknown sections or keys are
-errors; every default that applies is recorded in the config echo.
+- ``SiteSpec``: latitude in [-90, 90], longitude in [-180, 180].
+- ``SunshapeModel``: the kind, half angle and limb coefficient.
+- ``SunPosition``: elevation in [-90, 90].
+- ``GridSpec`` and ``ReceiverSpec``: a positive, finite extent and
+  diameter, and an even cell count.
+- ``HeliostatSpec``: three finite coordinates with X' > 0, the module
+  counts and sizes, reflectivity in [0, 1].
+- ``SceneConfig``, the scene-wide rules: a known engine, dni positive and
+  finite, sampling minimums (``surface_samples`` 2, ``radial_nodes`` 1,
+  ``azimuth_nodes`` 4), a grid of at least 16 cells and 0.1 m, focal
+  lengths in [80, 120] m, a non-empty schedule with unique labels, every
+  sun (schedule entries and the reference) above the horizon, and
+  heliostat names and labels without a path separator, since both become
+  part of output file names.  It calls ``metrics.case_heliostats`` for
+  the case rule: known cases, each at most once, and with case
+  symmetric_pair no heliostat named like another's mirror twin,
+  NAME_mirror.
+
+A key absent from the file takes the default of the dataclass field it
+fills; ``--validate-only`` on a minimal scene prints every default.
+Unknown sections or keys are errors; every default that applies is
+recorded in the config echo.
 """
 
 import configparser
@@ -72,33 +90,30 @@ from .receiver import GridSpec, ReceiverSpec
 from .sun import (ScheduleEntry, SiteSpec, SunPosition, SunshapeModel, ephemeris,
                   hour_label, ideal_equinox_position)
 
-# section -> key -> (type, minimum, maximum).  A type in brackets is a
-# comma-separated list of that type; a dict type takes one of its keys.
+# section -> key -> type.  A type in brackets is a comma-separated list of
+# that type.
 KEYS = {
-    "site": {"latitude": (float, -90.0, 90.0), "longitude": (float, -180.0, 180.0)},
-    "sunshape": {"kind": (str, None, None), "half_angle_deg": (float, None, None),
-                 "limb_coefficient": (float, None, None)},
-    "receiver": {"diameter": (float, 0.0, None), "grid_extent": (float, 0.1, None),
-                 "grid_cells": (int, 16, None)},
-    "heliostat": {"position": ([float], None, None), "width": (float, 0.0, None),
-                  "height": (float, 0.0, None), "modules_across": (int, 1, None),
-                  "modules_up": (int, 1, None), "module_width": (float, None, None),
-                  "module_height": (float, None, None),
-                  "focal_length": (float, 80.0, 120.0),
-                  "reflectivity": (float, 0.0, 1.0)},
-    "schedule": {"hours": ([float], 0.0, 24.0), "angles": (str, None, None),
-                 "times": (str, None, None), "labels": ([str], None, None)},
-    "reference": {"sun": (str, None, None)},
-    "run": {"engine": (ENGINES, None, None), "cases": ([CASE_TWINS], None, None),
-            "dni": (float, None, None), "out": (str, None, None),
-            "surface_samples": (int, 2, None), "radial_nodes": (int, 1, None),
-            "azimuth_nodes": (int, 4, None)},
+    "site": {"latitude": float, "longitude": float},
+    "sunshape": {"kind": str, "half_angle_deg": float, "limb_coefficient": float},
+    "receiver": {"diameter": float, "grid_extent": float, "grid_cells": int},
+    "heliostat": {"position": [float], "width": float, "height": float,
+                  "modules_across": int, "modules_up": int, "module_width": float,
+                  "module_height": float, "focal_length": float, "reflectivity": float},
+    "schedule": {"hours": [float], "angles": str, "times": str, "labels": [str]},
+    "reference": {"sun": str},
+    "run": {"engine": str, "cases": [str], "dni": float, "out": str,
+            "surface_samples": int, "radial_nodes": int, "azimuth_nodes": int},
 }
 
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Fully resolved scene: every field is populated, defaults included."""
+    """Fully resolved scene: every field is populated, defaults included.
+
+    Valid by construction: ``__post_init__`` checks the scene-wide rules
+    listed in the module docstring, whether the scene comes from
+    ``load_config``, ``with_overrides`` or ``dataclasses.replace``.
+    """
 
     site: SiteSpec
     sunshape: SunshapeModel
@@ -115,8 +130,34 @@ class SceneConfig:
     azimuth_nodes: int = DEFAULT_AZIMUTH_NODES
 
     def __post_init__(self):
-        if not self.dni > 0.0:
-            raise ConfigError(f"[run] dni: {self.dni!r} is not positive")
+        if self.engine not in ENGINES:
+            raise ConfigError(f"[run] engine: {self.engine!r} is not one of "
+                              f"{', '.join(ENGINES)}")
+        if not 0.0 < self.dni < math.inf:
+            raise ConfigError(f"[run] dni: {self.dni!r} is not positive and finite")
+        grid = self.receiver.grid
+        for where, key, value, least in (
+                ("run", "surface_samples", self.surface_samples, 2),
+                ("run", "radial_nodes", self.radial_nodes, 1),
+                ("run", "azimuth_nodes", self.azimuth_nodes, 4),
+                ("receiver", "grid_cells", grid.cells, 16),
+                ("receiver", "grid_extent", grid.extent, 0.1)):
+            if not value >= least:
+                raise ConfigError(f"[{where}] {key}: {value} below minimum {least}")
+        for h in self.heliostats:
+            _file_safe(f"heliostat {h.name}", "name", h.name)
+            if h.focal_length is not None and not 80.0 <= h.focal_length <= 120.0:
+                raise ConfigError(f"[heliostat {h.name}] focal_length: "
+                                  f"{h.focal_length} outside [80, 120]")
+        if not self.schedule:
+            raise ConfigError("[schedule] the schedule is empty")
+        for k, entry in enumerate(self.schedule):
+            _file_safe("schedule", "labels", entry.label)
+            if entry.label in (e.label for e in self.schedule[:k]):
+                raise ConfigError(f"[schedule] duplicate label {entry.label!r}")
+            _above_horizon(f"[schedule] entry {k} ({entry.label}): sun", entry.position)
+        _above_horizon("[reference] sun", self.reference)
+        case_heliostats(self)
 
     def echo(self):
         """Every effective parameter as '<section>.<key> = <value>' lines."""
@@ -158,24 +199,10 @@ def _split_list(raw, sep):
     return [item.strip() for item in raw.split(sep) if item.strip()]
 
 
-def _bounded(where, key, value, minimum, maximum):
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{where}] {key}: {value} below minimum {minimum}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"[{where}] {key}: {value} above maximum {maximum}")
-    return value
-
-
-def _parse(where, key, raw, kind, minimum, maximum):
-    """One typed, bounds-checked value; a ConfigError names the key otherwise."""
+def _parse(where, key, raw, kind):
+    """One typed, finite value; a ConfigError names the key otherwise."""
     if isinstance(kind, list):
-        return tuple(_parse(where, key, item, kind[0], minimum, maximum)
-                     for item in _split_list(raw, ","))
-    if isinstance(kind, dict):
-        if raw.strip() not in kind:
-            raise ConfigError(f"[{where}] {key}: {raw.strip()!r} is not one of "
-                              f"{', '.join(kind)}")
-        return raw.strip()
+        return tuple(_parse(where, key, item, kind[0]) for item in _split_list(raw, ","))
     if kind is str:
         return raw.strip()
     try:
@@ -183,7 +210,9 @@ def _parse(where, key, raw, kind, minimum, maximum):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"[{where}] {key}: {raw!r} is not {noun}") from None
-    return _bounded(where, key, value, minimum, maximum)
+    if not math.isfinite(value):
+        raise ConfigError(f"[{where}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def _section(section, items, where=None, required=()):
@@ -196,7 +225,7 @@ def _section(section, items, where=None, required=()):
     for key in required:
         if key not in items:
             raise ConfigError(f"[{where}] missing required key {key!r}")
-    return {key: _parse(where, key, raw, *keys[key]) for key, raw in items.items()}
+    return {key: _parse(where, key, raw, keys[key]) for key, raw in items.items()}
 
 
 def _file_safe(where, key, name):
@@ -218,26 +247,18 @@ def _sun_position(where, key, raw):
     if len(parts) != 2:
         raise ConfigError(f"[{where}] {key}: expected '<azimuth> <elevation>', "
                           f"got {raw!r}")
-    return _build(where, SunPosition, *(_parse(where, key, p, float, None, None)
-                                        for p in parts))
+    return _build(where, SunPosition, *(_parse(where, key, p, float) for p in parts))
 
 
 def _above_horizon(where, pos):
     if pos.elevation <= 0.0:
         raise ConfigError(f"{where} elevation {pos.elevation:.2f} deg is not above "
                           "the horizon")
-    return pos
 
 
 def _parse_heliostat(name, items):
     where = f"heliostat {name}"
-    _file_safe(where, "name", name)
     values = _section("heliostat", items, where, required=("position",))
-    if len(values["position"]) != 3:
-        raise ConfigError(f"[{where}] position needs three coordinates")
-    if values["position"][0] <= 0.0:
-        raise ConfigError(f"[{where}] position: X' must be positive so the "
-                          "receiver front face sees the heliostat")
     return _build(where, HeliostatSpec, name=name, **values)
 
 
@@ -250,6 +271,8 @@ def _parse_schedule(items, site):
 
     if modes[0] == "hours":
         for hour in values["hours"]:
+            if not 0.0 <= hour <= 24.0:
+                raise ConfigError(f"[schedule] hours: {hour} outside [0, 24]")
             entries.append((hour_label(hour), ideal_equinox_position(site.latitude, hour)))
     elif modes[0] == "angles":
         for k, pair in enumerate(_split_list(values["angles"], ";")):
@@ -268,18 +291,7 @@ def _parse_schedule(items, site):
     if labels:
         if len(labels) != len(entries):
             raise ConfigError("[schedule] labels: count does not match the schedule length")
-        for label in labels:
-            _file_safe("schedule", "labels", label)
         entries = [(label, pos) for label, (_, pos) in zip(labels, entries)]
-    if not entries:
-        raise ConfigError("[schedule] the schedule is empty")
-    for k, (label, pos) in enumerate(entries):
-        _above_horizon(f"[schedule] entry {k} ({label}): sun", pos)
-    seen = set()
-    for label, _ in entries:
-        if label in seen:
-            raise ConfigError(f"[schedule] duplicate label {label!r}")
-        seen.add(label)
     return tuple(ScheduleEntry(label=label, position=pos) for label, pos in entries)
 
 
@@ -290,7 +302,7 @@ def _parse_reference(items, site):
             raise ConfigError("[reference] equinox-noon needs a site latitude in "
                               "(0, 90) degrees")
         return SunPosition(azimuth=0.0, elevation=90.0 - site.latitude)
-    return _above_horizon("[reference] sun", _sun_position("reference", "sun", raw))
+    return _sun_position("reference", "sun", raw)
 
 
 def load_config(path):
@@ -354,29 +366,20 @@ def load_config(path):
     run = _section("run", sections.get("run", {}))
     if "out" in run:
         run["out_dir"] = run.pop("out")
-    config = SceneConfig(site=site, sunshape=sunshape, receiver=receiver,
-                         heliostats=heliostats, schedule=schedule, reference=reference,
-                         **run)
-    case_heliostats(config)
-    return config
+    return SceneConfig(site=site, sunshape=sunshape, receiver=receiver,
+                       heliostats=heliostats, schedule=schedule, reference=reference,
+                       **run)
 
 
 def with_overrides(config, engine=None, out_dir=None, grid_cells=None,
                    surface_samples=None):
     """Apply command-line overrides, returning a new SceneConfig.
 
-    The grid and sampling overrides meet the scene file's bounds.
+    An override left at None keeps the scene's value.  The result meets the
+    same rules as a scene file: ``GridSpec`` and ``SceneConfig`` check it.
     """
-    if engine is not None:
-        config = replace(config, engine=engine)
-    if out_dir is not None:
-        config = replace(config, out_dir=out_dir)
-    if grid_cells is not None:
-        _bounded("receiver", "grid_cells", grid_cells, *KEYS["receiver"]["grid_cells"][1:])
-        grid = _build("receiver", replace, config.receiver.grid, cells=grid_cells)
-        config = replace(config, receiver=replace(config.receiver, grid=grid))
-    if surface_samples is not None:
-        _bounded("run", "surface_samples", surface_samples,
-                 *KEYS["run"]["surface_samples"][1:])
-        config = replace(config, surface_samples=surface_samples)
-    return config
+    grid = config.receiver.grid
+    grid = replace(grid, cells=grid.cells if grid_cells is None else grid_cells)
+    given = {"engine": engine, "out_dir": out_dir, "surface_samples": surface_samples}
+    return replace(config, receiver=replace(config.receiver, grid=grid),
+                   **{key: value for key, value in given.items() if value is not None})

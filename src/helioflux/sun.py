@@ -15,7 +15,7 @@ from datetime import timezone
 
 import numpy as np
 
-from .errors import DegenerateGeometry, KernelAliasingError
+from .errors import ConfigError, DegenerateGeometry, KernelAliasingError
 from .geometry import cross, normalize
 
 # Default solar half-angle: 4.65 mrad, the nominal angular radius of the
@@ -36,7 +36,7 @@ class SunPosition:
 
     def __post_init__(self):
         if not -90.0 <= self.elevation <= 90.0:
-            raise ValueError(f"elevation {self.elevation} outside [-90, 90] degrees")
+            raise ConfigError(f"elevation {self.elevation} outside [-90, 90] degrees")
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,10 @@ class SiteSpec:
     longitude: float = 0.0
 
     def __post_init__(self):
-        if abs(self.latitude) > 90.0:
-            raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
-        if abs(self.longitude) > 180.0:
-            raise ValueError(f"longitude {self.longitude} outside [-180, 180]")
+        if not -90.0 <= self.latitude <= 90.0:
+            raise ConfigError(f"latitude {self.latitude} outside [-90, 90]")
+        if not -180.0 <= self.longitude <= 180.0:
+            raise ConfigError(f"longitude {self.longitude} outside [-180, 180]")
 
 
 @dataclass(frozen=True)
@@ -175,12 +175,12 @@ class SunshapeModel:
 
     def __post_init__(self):
         if self.kind not in ("pillbox", "limb_darkened"):
-            raise ValueError(f"unknown sunshape kind {self.kind!r}")
+            raise ConfigError(f"unknown sunshape kind {self.kind!r}")
         if not 0.0 < self.half_angle < 0.02:
-            raise ValueError(f"half angle {self.half_angle} rad outside (0, 0.02)")
+            raise ConfigError(f"half angle {self.half_angle} rad outside (0, 0.02)")
         if not 0.0 <= self.limb_coefficient <= 1.0:
-            raise ValueError("limb coefficient must stay in [0, 1] for a "
-                             "non-negative radiance profile")
+            raise ConfigError("limb coefficient must stay in [0, 1] for a "
+                              "non-negative radiance profile")
 
 
 def sunshape_radiance(model, rho):

@@ -118,6 +118,11 @@ BAD_SCENES = {
     "dni_zero": _with("cases = single", "dni = 0.0"),
     "module_width_zero": _with("position = 86.6, 50.0, 0.0", "module_width = 0.0"),
     "module_height_zero": _with("position = 86.6, 50.0, 0.0", "module_height = 0.0"),
+    "angles_nan": FAST_SCENE.replace("hours = 9.0, 12.0", "angles = nan 45"),
+    "grid_extent_nan": FAST_SCENE.replace("grid_extent = 4.0", "grid_extent = nan"),
+    "diameter_inf": FAST_SCENE.replace("diameter = 1.2", "diameter = inf"),
+    "dni_inf": _with("cases = single", "dni = inf"),
+    "latitude_nan": FAST_SCENE + "\n[site]\nlatitude = nan\n",
 }
 
 

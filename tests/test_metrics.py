@@ -65,24 +65,22 @@ def test_off_axis_interception_beats_spherical_at_noon(noon_maps, table1_config)
 # --- day course -----------------------------------------------------------------
 
 def test_day_course_rejects_empty_schedule(table1_config):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         hf.day_course(dataclasses.replace(table1_config, schedule=()))
 
 
 def test_day_course_rejects_twin_name_collision(table1_config):
-    # a scene built in code never passes load_config's checks
+    # a scene built in code meets load_config's rules when it is built
     h1 = table1_config.heliostats[0]
     user = dataclasses.replace(h1, name="h1_mirror", position=(95.0, -20.0, -3.0))
-    scene = dataclasses.replace(table1_config, heliostats=(h1, user),
-                                cases=("symmetric_pair",))
     with pytest.raises(ConfigError, match="h1_mirror.*twin of heliostat 'h1'"):
-        hf.day_course(scene)
+        hf.day_course(dataclasses.replace(table1_config, heliostats=(h1, user),
+                                          cases=("symmetric_pair",)))
 
 
 def test_day_course_rejects_repeated_case(table1_config):
-    scene = dataclasses.replace(table1_config, cases=("single", "single"))
     with pytest.raises(ConfigError, match="'single' is listed more than once"):
-        hf.day_course(scene)
+        hf.day_course(dataclasses.replace(table1_config, cases=("single", "single")))
 
 
 def test_day_course_freezes_canting(table1_config, monkeypatch):

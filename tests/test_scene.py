@@ -1,5 +1,6 @@
 """Scene file parsing, validation diagnostics, and the bundled scene."""
 
+import dataclasses
 import math
 
 import pytest
@@ -172,6 +173,51 @@ def test_bad_number_rejected_with_field(tmp_path):
     body = MINIMAL.replace("diameter = 1.2", "diameter = one-point-two")
     with pytest.raises(ConfigError, match="diameter"):
         hf.load_config(write_scene(tmp_path, body))
+
+
+def _replace_heliostat(config, **changes):
+    h1 = dataclasses.replace(config.heliostats[0], **changes)
+    return dataclasses.replace(config, heliostats=(h1,))
+
+
+def _replace_grid(config, **changes):
+    grid = dataclasses.replace(config.receiver.grid, **changes)
+    return dataclasses.replace(config, receiver=dataclasses.replace(config.receiver,
+                                                                    grid=grid))
+
+
+# each rule a scene file obeys, broken by a scene varied in code
+IN_CODE = {
+    "engine": (lambda c: dataclasses.replace(c, engine="warp"), "warp"),
+    "case": (lambda c: dataclasses.replace(c, cases=("triple",)), "triple"),
+    "below_horizon": (lambda c: dataclasses.replace(c, schedule=(hf.ScheduleEntry(
+        label="night", position=hf.SunPosition(azimuth=0.0, elevation=-5.0)),)),
+        "entry 0 .night.*horizon"),
+    "surface_samples": (lambda c: dataclasses.replace(c, surface_samples=0),
+                        "surface_samples"),
+    "radial_nodes": (lambda c: dataclasses.replace(c, radial_nodes=0), "radial_nodes"),
+    "azimuth_nodes": (lambda c: dataclasses.replace(c, azimuth_nodes=3), "azimuth_nodes"),
+    "grid_cells": (lambda c: _replace_grid(c, cells=8), "grid_cells"),
+    "focal_length": (lambda c: _replace_heliostat(c, focal_length=60.0), "focal_length"),
+    "behind_receiver": (lambda c: _replace_heliostat(c, position=(-86.6, 50.0, 0.0)),
+                        "front face"),
+    "duplicate_label": (lambda c: dataclasses.replace(c, schedule=c.schedule[:1] * 2),
+                        "duplicate label '09h00'"),
+    "label_separator": (lambda c: dataclasses.replace(c, schedule=(dataclasses.replace(
+        c.schedule[0], label="a/b"),)), "path separator"),
+    "name_separator": (lambda c: _replace_heliostat(c, name="a/b"), "path separator"),
+    "latitude_nan": (lambda c: dataclasses.replace(c, site=dataclasses.replace(
+        c.site, latitude=math.nan)), "latitude"),
+    "diameter_nan": (lambda c: dataclasses.replace(c, receiver=dataclasses.replace(
+        c.receiver, diameter=math.nan)), "diameter"),
+    "grid_extent_inf": (lambda c: _replace_grid(c, extent=math.inf), "extent"),
+}
+
+
+@pytest.mark.parametrize("vary, match", IN_CODE.values(), ids=IN_CODE.keys())
+def test_scene_varied_in_code_meets_the_file_rules(vary, match, table1_config):
+    with pytest.raises(ConfigError, match=match):
+        vary(table1_config)
 
 
 # --- schedule modes --------------------------------------------------------------
