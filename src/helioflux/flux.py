@@ -176,14 +176,34 @@ def geometric_spot(facets, sun, receiver, dni=1.0,
 
 
 def _convolve_padded(spot, kernel):
-    """Zero-padded FFT convolution cropped back to the spot's own grid."""
-    ny, nz = spot.shape
-    ky, kz = kernel.shape
-    py = scipy.fft.next_fast_len(ny + ky - 1)
-    pz = scipy.fft.next_fast_len(nz + kz - 1)
-    spectrum = scipy.fft.rfft2(spot, s=(py, pz)) * scipy.fft.rfft2(kernel, s=(py, pz))
-    full = scipy.fft.irfft2(spectrum, s=(py, pz))
-    return full[ky // 2:ky // 2 + ny, kz // 2:kz // 2 + nz]
+    """Spot convolved with the centred kernel, on the spot's own grid.
+
+    The FFT covers only the spot's support: its nonzero bounding box and
+    the kernel are zero-padded to a fast length of their linear
+    convolution, and the result is pasted onto a zero grid at the box
+    origin less the kernel's centre offset, clipped at the grid edges.
+    Cells farther from the support than the kernel reaches are exactly 0.
+    A spot without power gives an all-zero grid.
+    """
+    values = np.zeros(spot.shape)
+    rows, cols = np.flatnonzero(spot.any(axis=1)), np.flatnonzero(spot.any(axis=0))
+    if rows.size == 0:
+        return values
+    box = spot[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    full_shape = [b + k - 1 for b, k in zip(box.shape, kernel.shape)]
+    padded = [scipy.fft.next_fast_len(n) for n in full_shape]
+    spectrum = scipy.fft.rfft2(box, s=padded) * scipy.fft.rfft2(kernel, s=padded)
+    full = scipy.fft.irfft2(spectrum, s=padded)
+    # on each axis, index i of the linear result lands on cell start + i - k // 2
+    target, source = [], []
+    for start, k, length, n in zip((rows[0], cols[0]), kernel.shape, full_shape,
+                                   spot.shape):
+        offset = start - k // 2
+        lo, hi = max(offset, 0), min(offset + length, n)
+        target.append(slice(lo, hi))
+        source.append(slice(lo - offset, hi - offset))
+    values[tuple(target)] = full[tuple(source)]
+    return values
 
 
 def convolve_flux(facets, sun, shape, receiver, dni=1.0,
@@ -195,9 +215,10 @@ def convolve_flux(facets, sun, shape, receiver, dni=1.0,
     aberration spot of the facets on the grid.  Stage 2 convolves it with
     the sunshape footprint built at the heliostat-centre path length and
     beam direction (the kernel is shift-invariant across the map, the
-    approximation that makes this engine fast).  The output is rescaled so
-    its total matches the stage-1 total; a mismatch beyond 1% means the
-    spot leaks off the grid and is an error.
+    approximation that makes this engine fast).  The FFT covers the spot's
+    support, its nonzero bounding box, not the whole grid.  The output is
+    rescaled so its total matches the stage-1 total; a mismatch beyond 1%
+    means the spot leaks off the grid and is an error.
 
     Pass the facets of a single heliostat: the kernel is built once at
     their mean centre.  Compose multi-heliostat maps with ``map_add``.

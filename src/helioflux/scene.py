@@ -53,7 +53,7 @@ read from a file and one varied in code with ``dataclasses.replace`` or
 
 - ``SiteSpec``: latitude in [-90, 90], longitude in [-180, 180].
 - ``SunshapeModel``: the kind, half angle and limb coefficient.
-- ``SunPosition``: elevation in [-90, 90].
+- ``SunPosition``: a finite azimuth, elevation in [-90, 90].
 - ``GridSpec`` and ``ReceiverSpec``: a positive, finite extent and
   diameter, and an even cell count.
 - ``HeliostatSpec``: three finite coordinates with X' > 0, the module
@@ -62,12 +62,12 @@ read from a file and one varied in code with ``dataclasses.replace`` or
   finite, sampling minimums (``surface_samples`` 2, ``radial_nodes`` 1,
   ``azimuth_nodes`` 4), a grid of at least 16 cells and 0.1 m, focal
   lengths in [80, 120] m, a non-empty schedule with unique labels, every
-  sun (schedule entries and the reference) above the horizon, and
-  heliostat names and labels without a path separator, since both become
-  part of output file names.  It calls ``metrics.case_heliostats`` for
-  the case rule: known cases, each at most once, and with case
-  symmetric_pair no heliostat named like another's mirror twin,
-  NAME_mirror.
+  sun (schedule entries and the reference) above the horizon, unique
+  heliostat names, and heliostat names and labels without a path
+  separator, since both become part of output file names.  It calls
+  ``metrics.case_heliostats`` for the case rule: known cases, each at
+  most once, and with case symmetric_pair no heliostat named like
+  another's mirror twin, NAME_mirror.
 
 A key absent from the file takes the default of the dataclass field it
 fills; ``--validate-only`` on a minimal scene prints every default.
@@ -144,8 +144,10 @@ class SceneConfig:
                 ("receiver", "grid_extent", grid.extent, 0.1)):
             if not value >= least:
                 raise ConfigError(f"[{where}] {key}: {value} below minimum {least}")
-        for h in self.heliostats:
+        for k, h in enumerate(self.heliostats):
             _file_safe(f"heliostat {h.name}", "name", h.name)
+            if h.name in (g.name for g in self.heliostats[:k]):
+                raise ConfigError(f"[heliostat {h.name}] duplicate name {h.name!r}")
             if h.focal_length is not None and not 80.0 <= h.focal_length <= 120.0:
                 raise ConfigError(f"[heliostat {h.name}] focal_length: "
                                   f"{h.focal_length} outside [80, 120]")

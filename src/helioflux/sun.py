@@ -35,6 +35,8 @@ class SunPosition:
     elevation: float
 
     def __post_init__(self):
+        if not math.isfinite(self.azimuth):
+            raise ConfigError(f"azimuth {self.azimuth} is not finite")
         if not -90.0 <= self.elevation <= 90.0:
             raise ConfigError(f"elevation {self.elevation} outside [-90, 90] degrees")
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import example, given, settings, strategies as st
 
 import helioflux as hf
 from helioflux import flux
@@ -305,6 +307,75 @@ def test_convolution_peak_stable_under_grid_refinement():
         peaks[cells] = hf.convolve_flux(facets, sun, shape,
                                         hf.ReceiverSpec(grid=grid)).values.max()
     assert abs(peaks[512] / peaks[256] - 1.0) < 0.01
+
+
+# --- convolution on the spot's support against the full-grid reference --------
+
+def _full_grid_convolve(spot, kernel):
+    """``_convolve_padded`` before it cropped: the FFT spans the whole grid."""
+    ny, nz = spot.shape
+    ky, kz = kernel.shape
+    py = scipy.fft.next_fast_len(ny + ky - 1)
+    pz = scipy.fft.next_fast_len(nz + kz - 1)
+    spectrum = scipy.fft.rfft2(spot, s=(py, pz)) * scipy.fft.rfft2(kernel, s=(py, pz))
+    full = scipy.fft.irfft2(spectrum, s=(py, pz))
+    return full[ky // 2:ky // 2 + ny, kz // 2:kz // 2 + nz]
+
+
+@st.composite
+def supports(draw):
+    """(cells, row span, column span, kernel shape, seed) of a boxed spot.
+
+    Each span starts at the grid edge or anywhere, and is one cell long,
+    runs to the far edge or has any length, so boxes touch every edge and
+    corner and shrink to a single cell.  Kernels run from 3x3 to half the
+    grid, odd or even.
+    """
+    n = draw(st.integers(16, 96))
+    spans = []
+    for _ in range(2):
+        start = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+        stop = draw(st.one_of(st.just(start + 1), st.just(n), st.integers(start + 1, n)))
+        spans.append((start, stop))
+    kernel = tuple(draw(st.integers(3, n // 2)) for _ in range(2))
+    return n, spans[0], spans[1], kernel, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(supports())
+@example((32, (0, 1), (31, 32), (3, 3), 0))     # one cell in a corner, smallest kernel
+@example((32, (31, 32), (0, 32), (16, 16), 1))  # a full-width row, half-grid kernel
+def test_support_convolution_matches_full_grid(case):
+    n, (r0, r1), (c0, c1), (ky, kz), seed = case
+    rng = np.random.default_rng(seed)
+    spot = np.zeros((n, n))
+    spot[r0:r1, c0:c1] = rng.uniform(0.1, 1.0, size=(r1 - r0, c1 - c0))
+    kernel = rng.uniform(size=(ky, kz))
+    got = flux._convolve_padded(spot, kernel)
+    want = _full_grid_convolve(spot, kernel)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+    # beyond the kernel's reach from the box, cells are exactly zero
+    reach = np.zeros((n, n), dtype=bool)
+    reach[max(r0 - ky // 2, 0):r1 + ky - 1 - ky // 2,
+          max(c0 - kz // 2, 0):c1 + kz - 1 - kz // 2] = True
+    assert not got[~reach].any()
+
+
+def test_spot_without_power_convolves_to_zero():
+    out = flux._convolve_padded(np.zeros((32, 32)), np.ones((5, 5)) / 25.0)
+    assert out.shape == (32, 32) and not out.any()
+
+
+def test_convolve_flux_with_every_ray_spilled_is_zero():
+    # facets aimed for the sun at (0, 30) reflect a sun 20 degrees west of it
+    # well past the 8 m grid
+    facets = single_flat_facet_scene()
+    sun = hf.SunPosition(azimuth=20.0, elevation=30.0)
+    m = hf.convolve_flux(facets, sun, hf.SunshapeModel(), hf.ReceiverSpec(
+        grid=hf.GridSpec(extent=8.0, cells=64)))
+    assert m.spilled_power == pytest.approx(analytic_aperture_power(facets, sun), rel=1e-3)
+    assert m.values.shape == (64, 64) and not m.values.any()
 
 
 # --- map algebra ----------------------------------------------------------------

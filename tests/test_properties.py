@@ -114,3 +114,26 @@ def test_grt_energy_balance(scene):
                                        * f.reflectivity for f in facets)
             assert grt.total_power + grt.spilled_power == pytest.approx(expected,
                                                                         rel=1e-4)
+
+
+@PROPERTY
+@given(scenes())
+def test_mirrored_scene_gives_the_y_flipped_map(scene):
+    # Mirroring every heliostat across the X'Z' plane and the sun (and the
+    # reference sun the cantings are frozen at) to -azimuth mirrors the whole
+    # optical path, so the map is the single map with Y' reversed.
+    def mirrored(pos):
+        return hf.SunPosition(azimuth=-pos.azimuth, elevation=pos.elevation)
+
+    entry = scene.schedule[0]
+    single = dataclasses.replace(scene, cases=("single",))
+    twin = dataclasses.replace(
+        single, heliostats=tuple(h.mirrored() for h in scene.heliostats),
+        schedule=(dataclasses.replace(entry, position=mirrored(entry.position)),),
+        reference=mirrored(scene.reference))
+    _, maps = hf.day_course(single, collect_maps=True)
+    _, twin_maps = hf.day_course(twin, collect_maps=True)
+    for key, flux_map in maps.items():
+        flipped = flux_map.values[::-1, :]
+        tol = 1e-12 * float(flux_map.values.max())
+        assert np.abs(twin_maps[key].values - flipped).max() <= tol

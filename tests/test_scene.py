@@ -203,6 +203,10 @@ IN_CODE = {
                         "front face"),
     "duplicate_label": (lambda c: dataclasses.replace(c, schedule=c.schedule[:1] * 2),
                         "duplicate label '09h00'"),
+    "duplicate_name": (lambda c: dataclasses.replace(c, cases=("single",), heliostats=(
+        c.heliostats[0],
+        dataclasses.replace(c.heliostats[0], position=(95.0, -20.0, -3.0)))),
+        r"\[heliostat h1\] duplicate name 'h1'"),
     "label_separator": (lambda c: dataclasses.replace(c, schedule=(dataclasses.replace(
         c.schedule[0], label="a/b"),)), "path separator"),
     "name_separator": (lambda c: _replace_heliostat(c, name="a/b"), "path separator"),

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import helioflux as hf
 from helioflux import flux
-from helioflux.errors import DegenerateGeometry, KernelAliasingError
+from helioflux.errors import ConfigError, DegenerateGeometry, KernelAliasingError
 
 UTC = timezone.utc
 
@@ -74,6 +74,12 @@ def test_sun_vector_rejects_horizon():
 def test_sun_position_validates_elevation_range():
     with pytest.raises(ValueError):
         hf.SunPosition(azimuth=0.0, elevation=91.0)
+
+
+@pytest.mark.parametrize("azimuth", [math.nan, math.inf, -math.inf])
+def test_sun_position_rejects_non_finite_azimuth(azimuth):
+    with pytest.raises(ConfigError, match="azimuth"):
+        hf.SunPosition(azimuth=azimuth, elevation=40.0)
 
 
 # --- ephemeris ---------------------------------------------------------------
