@@ -3,7 +3,7 @@
 A heliostat at (86.6, 50, 0) m aims at a receiver at the origin.  For the
 reference sun (due South, elevation 44.63 deg) we derive the tracking
 normal from the bisector construction, check the reflection law residual,
-and build the mount frame.
+and build the heliostat frame.
 """
 
 import math
@@ -30,8 +30,8 @@ print(f"reflection-law residual |S + R - 2 cos(i) N| = {np.linalg.norm(residual)
 echo = hf.reflect(s, geom.normal)
 print(f"reflect(S, N) = {np.round(echo, 5)}  -> returns R as it must")
 
-frame = hf.heliostat_frame(geom.normal, origin=spec.position_array)
-print("\nmount frame:")
-print(f"  X (optical axis) = {np.round(frame.axis_x, 4)}")
-print(f"  Y (horizontal)   = {np.round(frame.axis_y, 4)}")
-print(f"  Z (in-plane up)  = {np.round(frame.axis_z, 4)}")
+frame = hf.heliostat_frame(geom.normal)
+print("\nheliostat frame (columns of the local -> world rotation):")
+print(f"  X (optical axis) = {np.round(frame[:, 0], 4)}")
+print(f"  Y (horizontal)   = {np.round(frame[:, 1], 4)}")
+print(f"  Z (in-plane up)  = {np.round(frame[:, 2], 4)}")

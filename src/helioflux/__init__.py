@@ -12,13 +12,13 @@ __version__ = "0.1.0"
 from .errors import (BacklitMirror, ConfigError, DegenerateGeometry,
                      GridMismatch, GridTooSmall, HelioFluxError,
                      KernelAliasingError)
-from .geometry import (Frame3, ReflectionGeometry, bisector_normal,
-                       heliostat_frame, normalize, reflect)
+from .geometry import (ReflectionGeometry, bisector_normal, heliostat_frame,
+                       normalize, reflect)
 from .sun import (ScheduleEntry, SiteSpec, SunPosition, SunshapeModel,
                   build_kernel, cone_directions, ephemeris, equation_of_time,
                   hour_label, ideal_equinox_position, sun_vector,
                   sunshape_radiance)
-from .receiver import RECEIVER_NORMAL, GridSpec, ReceiverSpec
+from .receiver import GridSpec, ReceiverSpec
 from .heliostat import (CantingSet, Facet, HeliostatSpec, ModuleLayout,
                         OffAxisContext, canting_report, canting_table,
                         module_centres, off_axis_canting, off_axis_context,

@@ -80,46 +80,16 @@ def bisector_normal(sun, target):
     return ReflectionGeometry(normal=normal, incidence=incidence)
 
 
-@dataclass(frozen=True)
-class Frame3:
-    """Right-handed orthonormal frame with an origin, axes as unit vectors."""
+def heliostat_frame(normal):
+    """Local -> world rotation of the heliostat frame for a tracking normal.
 
-    origin: np.ndarray
-    axis_x: np.ndarray
-    axis_y: np.ndarray
-    axis_z: np.ndarray
-
-    @property
-    def matrix(self):
-        """3x3 matrix whose columns are the frame axes (local -> world rotation)."""
-        return np.column_stack((self.axis_x, self.axis_y, self.axis_z))
-
-    def to_world(self, local):
-        """Map local coordinates (..., 3) to world coordinates."""
-        local = np.asarray(local, dtype=float)
-        m = self.matrix
-        return self.origin + local @ m.T
-
-    def to_local(self, world):
-        """Map world coordinates (..., 3) to frame coordinates."""
-        world = np.asarray(world, dtype=float)
-        return (world - self.origin) @ self.matrix
-
-
-def heliostat_frame(normal, origin=None):
-    """Heliostat frame for a given tracking normal.
-
-    axis_x is the normal itself, axis_y = Z' x normal normalized (always
-    horizontal), axis_z completes the right-handed triad and has a positive
-    Z' component.  Normals within 1e-6 of vertical leave the horizontal
-    axis undefined and are rejected.
+    The columns are the frame axes: X is the normal itself, Y = Z' x normal
+    normalized (always horizontal), and Z completes the right-handed triad
+    with a positive Z' component.  Normals within 1e-6 of vertical leave
+    the horizontal axis undefined and are rejected.
     """
     lateral = np.hypot(normal[0], normal[1])
     if lateral < 1e-6:
         raise DegenerateGeometry("normal is (nearly) vertical; heliostat azimuth undefined")
     axis_y = np.array([-normal[1], normal[0], 0.0]) / lateral
-    axis_z = cross(normal, axis_y)
-    if origin is None:
-        origin = np.zeros(3)
-    return Frame3(origin=np.asarray(origin, dtype=float), axis_x=normal,
-                  axis_y=axis_y, axis_z=axis_z)
+    return np.column_stack((normal, axis_y, cross(normal, axis_y)))

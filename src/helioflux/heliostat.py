@@ -59,8 +59,8 @@ class HeliostatSpec:
             raise ConfigError("modules are taller than the heliostat")
         if self.focal_length is not None and not self.focal_length > 0.0:
             raise ConfigError("focal length must be positive")
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ConfigError("reflectivity must be in [0, 1]")
+        if not 0.0 < self.reflectivity <= 1.0:
+            raise ConfigError("reflectivity must be in (0, 1]")
 
     @property
     def position_array(self):
@@ -147,14 +147,13 @@ def spherical_canting(spec, layout, distance):
 class OffAxisContext:
     """Reference-sun quantities entering the off-axis canting formulas.
 
-    s0y and s0z are the direction cosines of the reference sun on the
-    heliostat Y and Z axes; phi = arctan2(s0z, s0y) so that cos(phi) goes
-    with s0y and sin(phi) with s0z.
+    ``incidence0`` is the reference sun's incidence angle i0 on the
+    heliostat; ``phi`` the angle of the sun's projection on the heliostat
+    plane, measured from the Y axis toward Z, so the sun's direction
+    cosines on Y and Z are sin(i0) cos(phi) and sin(i0) sin(phi).
     """
 
     incidence0: float  # radians
-    s0y: float
-    s0z: float
     phi: float  # radians
 
 
@@ -168,10 +167,8 @@ def off_axis_context(spec, sun0):
     s0 = sun_vector(sun0)
     geom = bisector_normal(s0, spec.target_direction())
     frame = heliostat_frame(geom.normal)
-    s0y = float(s0 @ frame.axis_y)
-    s0z = float(s0 @ frame.axis_z)
-    return OffAxisContext(incidence0=geom.incidence, s0y=s0y, s0z=s0z,
-                          phi=math.atan2(s0z, s0y))
+    on_y, on_z = (float(s0 @ frame[:, k]) for k in (1, 2))
+    return OffAxisContext(incidence0=geom.incidence, phi=math.atan2(on_z, on_y))
 
 
 def off_axis_canting(spec, layout, ctx, distance):
@@ -329,14 +326,13 @@ def realize_modules(spec, layout, canting, sun):
     """
     s = sun_vector(sun)
     geom = bisector_normal(s, spec.target_direction())
-    frame = heliostat_frame(geom.normal, origin=spec.position_array)
-    base = frame.matrix
+    base = heliostat_frame(geom.normal)
 
     facets = []
     for i in range(spec.modules_across):
         for j in range(spec.modules_up):
             local_centre = np.array([0.0, layout.y[i], layout.z[j]])
-            centre = frame.origin + base @ local_centre
+            centre = spec.position_array + base @ local_centre
             axes = base @ canting_rotation(canting.a[i, j], canting.h[i, j])
             facets.append(Facet(centre=centre, axes=axes,
                                 width=spec.module_width, height=spec.module_height,

@@ -3,8 +3,10 @@
 The receiver plane is the world Y'Z' plane (normal along +X') with its
 centre at the origin; every flux map lives on one square grid in that
 plane, the same cell count and extent along y' and z'.
-This module is the one place the plane is fixed: the flux engines and
-``sun.build_kernel`` assume it rather than take a normal.
+No code takes the plane's normal as a value; three places assume it:
+``flux._trace_spot`` intersects rays with x' = 0, ``sun.build_kernel``
+takes cos(beta) = -beam_x, and ``HeliostatSpec`` requires X' > 0 so that
+the front face sees the heliostat.
 """
 
 import math
@@ -13,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-
-RECEIVER_NORMAL = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)

@@ -57,17 +57,21 @@ read from a file and one varied in code with ``dataclasses.replace`` or
 - ``GridSpec`` and ``ReceiverSpec``: a positive, finite extent and
   diameter, and an even cell count.
 - ``HeliostatSpec``: three finite coordinates with X' > 0, the module
-  counts and sizes, reflectivity in [0, 1].
+  counts and sizes, reflectivity in (0, 1].
 - ``SceneConfig``, the scene-wide rules: a known engine, dni positive and
   finite, sampling minimums (``surface_samples`` 2, ``radial_nodes`` 1,
-  ``azimuth_nodes`` 4), a grid of at least 16 cells and 0.1 m, focal
-  lengths in [80, 120] m, a non-empty schedule with unique labels, every
-  sun (schedule entries and the reference) above the horizon, unique
-  heliostat names, and heliostat names and labels without a path
-  separator, since both become part of output file names.  It calls
-  ``metrics.case_heliostats`` for the case rule: known cases, each at
-  most once, and with case symmetric_pair no heliostat named like
-  another's mirror twin, NAME_mirror.
+  ``azimuth_nodes`` 4), a grid of at least 16 cells and 0.1 m, at least
+  one heliostat, focal lengths in [80, 120] m, a non-empty schedule with
+  unique labels, every sun (schedule entries and the reference) above the
+  horizon, unique heliostat names, and heliostat names and labels without
+  a path separator, since both become part of output file names.  It
+  calls ``metrics.case_heliostats`` for the case rule: known cases, each
+  at most once, and with case symmetric_pair no heliostat named like
+  another's mirror twin, NAME_mirror.  It builds ``metrics.frozen_cantings``
+  for every heliostat of every case, mirror twins included, so a
+  heliostat whose canting at the reference sun leaves the small-angle
+  regime (|angle| < 0.1 rad) or whose reference incidence has
+  cos i0 <= 0.5 fails at construction, not in the middle of a run.
 
 A key absent from the file takes the default of the dataclass field it
 fills; ``--validate-only`` on a minimal scene prints every default.
@@ -82,10 +86,10 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateGeometry
 from .flux import DEFAULT_AZIMUTH_NODES, DEFAULT_RADIAL_NODES, DEFAULT_SURFACE_SAMPLES
-from .heliostat import HeliostatSpec
-from .metrics import CASE_TWINS, ENGINES, case_heliostats
+from .heliostat import HeliostatSpec, module_centres
+from .metrics import CASE_TWINS, ENGINES, case_heliostats, frozen_cantings
 from .receiver import GridSpec, ReceiverSpec
 from .sun import (ScheduleEntry, SiteSpec, SunPosition, SunshapeModel, ephemeris,
                   hour_label, ideal_equinox_position)
@@ -144,6 +148,8 @@ class SceneConfig:
                 ("receiver", "grid_extent", grid.extent, 0.1)):
             if not value >= least:
                 raise ConfigError(f"[{where}] {key}: {value} below minimum {least}")
+        if not self.heliostats:
+            raise ConfigError("[heliostat NAME] the scene has no heliostat")
         for k, h in enumerate(self.heliostats):
             _file_safe(f"heliostat {h.name}", "name", h.name)
             if h.name in (g.name for g in self.heliostats[:k]):
@@ -159,7 +165,13 @@ class SceneConfig:
                 raise ConfigError(f"[schedule] duplicate label {entry.label!r}")
             _above_horizon(f"[schedule] entry {k} ({entry.label}): sun", entry.position)
         _above_horizon("[reference] sun", self.reference)
-        case_heliostats(self)
+        members = case_heliostats(self)
+        for h in {h.name: h for case in members.values() for h in case}.values():
+            try:
+                frozen_cantings(h, module_centres(h), self.reference)
+            except (ValueError, DegenerateGeometry) as exc:
+                raise ConfigError(f"[heliostat {h.name}] canting at the reference sun: "
+                                  f"{exc}") from None
 
     def echo(self):
         """Every effective parameter as '<section>.<key> = <value>' lines."""

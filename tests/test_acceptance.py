@@ -112,7 +112,7 @@ def test_criterion_4_off_axis_degenerates_to_spherical():
     with criterion(4, "off-axis canting equals spherical at zero incidence"):
         spec = hf.HeliostatSpec()
         layout = hf.module_centres(spec)
-        ctx = hf.OffAxisContext(incidence0=0.0, s0y=0.0, s0z=0.0, phi=0.0)
+        ctx = hf.OffAxisContext(incidence0=0.0, phi=0.0)
         oa = hf.off_axis_canting(spec, layout, ctx, 100.0)
         sph = hf.spherical_canting(spec, layout, 100.0)
         assert np.array_equal(oa.a, sph.a)

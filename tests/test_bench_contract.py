@@ -8,6 +8,7 @@ The tracer module is compiled from its source here, so nothing is written
 under ``benchmarks/``.
 """
 
+import dataclasses
 import inspect
 import pathlib
 import types
@@ -15,7 +16,7 @@ import types
 import pytest
 
 import helioflux as hf
-from helioflux import cli, flux, metrics, scene
+from helioflux import cli, flux, heliostat, metrics, scene
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -82,6 +83,21 @@ def test_benchmark_engine_calls_bind():
     inspect.signature(metrics.day_course).bind(config, collect_maps=True)
     inspect.signature(scene.with_overrides).bind(config, engine="conv", out_dir="out",
                                                  grid_cells=64, surface_samples=8)
+
+
+def test_benchmark_heliostat_calls_bind():
+    # the calls and attributes of facets_for and check_day in benchmarks/workloads.py
+    spec, layout, canting, ctx, sun = object(), object(), object(), object(), object()
+    inspect.signature(heliostat.module_centres).bind(spec)
+    inspect.signature(heliostat.spherical_canting).bind(spec, layout, 100.0)
+    inspect.signature(heliostat.off_axis_context).bind(spec, sun)
+    inspect.signature(heliostat.off_axis_canting).bind(spec, layout, ctx, 100.0)
+    inspect.signature(heliostat.realize_modules).bind(spec, layout, canting, sun)
+    fields = {f.name for f in dataclasses.fields(heliostat.Facet)}
+    assert {"axes", "reflectivity"} <= fields
+    assert isinstance(heliostat.Facet.area, property)
+    assert callable(heliostat.HeliostatSpec.mirrored)
+    assert isinstance(heliostat.HeliostatSpec.slant_distance, property)
 
 
 def test_traced_run_reaches_every_layer(tracing, tmp_path):

@@ -123,6 +123,9 @@ BAD_SCENES = {
     "diameter_inf": FAST_SCENE.replace("diameter = 1.2", "diameter = inf"),
     "dni_inf": _with("cases = single", "dni = inf"),
     "latitude_nan": FAST_SCENE + "\n[site]\nlatitude = nan\n",
+    "near_receiver": FAST_SCENE.replace("position = 86.6, 50.0, 0.0",
+                                        "position = 2.0, 0.5, -1.0"),
+    "reflectivity_zero": _with("position = 86.6, 50.0, 0.0", "reflectivity = 0.0"),
 }
 
 

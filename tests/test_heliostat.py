@@ -66,6 +66,8 @@ def test_heliostat_spec_validation():
         hf.HeliostatSpec(module_width=1.0)  # 4 x 1.0 > 3.4
     with pytest.raises(ValueError):
         hf.HeliostatSpec(reflectivity=1.2)
+    with pytest.raises(ValueError, match="reflectivity"):
+        hf.HeliostatSpec(reflectivity=0.0)
 
 
 # --- spherical canting -------------------------------------------------------
@@ -103,10 +105,14 @@ def test_zero_canting_reports_zero():
 # --- off-axis canting --------------------------------------------------------
 
 def test_off_axis_context_reference_quantities(scene_parts):
-    _, _, _, ctx = scene_parts
+    spec, _, _, ctx = scene_parts
     assert math.degrees(ctx.incidence0) == pytest.approx(25.98, abs=0.05)
-    assert math.hypot(ctx.s0y, ctx.s0z) == pytest.approx(
-        math.sin(ctx.incidence0), abs=1e-12)
+    # the reference sun's direction cosines on the heliostat Y and Z axes
+    s0 = hf.sun_vector(REF_SUN)
+    frame = hf.heliostat_frame(hf.bisector_normal(s0, spec.target_direction()).normal)
+    sin_i0 = math.sin(ctx.incidence0)
+    assert s0 @ frame[:, 1] == pytest.approx(sin_i0 * math.cos(ctx.phi), abs=1e-12)
+    assert s0 @ frame[:, 2] == pytest.approx(sin_i0 * math.sin(ctx.phi), abs=1e-12)
 
 
 def test_off_axis_canting_golden_values(scene_parts):
@@ -159,9 +165,7 @@ def test_off_axis_hand_evaluated_case():
     # the implementation fed with the same reference quantities agrees
     cos_phi = -math.sqrt(cos2_phi)
     sin_phi = math.sqrt(1.0 - cos2_phi)
-    ctx = hf.OffAxisContext(incidence0=i0,
-                            s0y=sin_i0 * cos_phi, s0z=sin_i0 * sin_phi,
-                            phi=math.atan2(sin_phi, cos_phi))
+    ctx = hf.OffAxisContext(incidence0=i0, phi=math.atan2(sin_phi, cos_phi))
     spec = hf.HeliostatSpec()
     layout = hf.module_centres(spec)
     reported = hf.canting_report(hf.off_axis_canting(spec, layout, ctx, d))
@@ -172,7 +176,7 @@ def test_off_axis_hand_evaluated_case():
 def test_off_axis_collapses_to_spherical_at_zero_incidence():
     spec = hf.HeliostatSpec()
     layout = hf.module_centres(spec)
-    ctx = hf.OffAxisContext(incidence0=0.0, s0y=0.0, s0z=0.0, phi=0.0)
+    ctx = hf.OffAxisContext(incidence0=0.0, phi=0.0)
     oa = hf.off_axis_canting(spec, layout, ctx, 100.0)
     sph = hf.spherical_canting(spec, layout, 100.0)
     assert np.array_equal(oa.a, sph.a)
@@ -192,8 +196,7 @@ def test_off_axis_point_symmetry(scene_parts):
 def test_off_axis_rejects_extreme_incidence():
     spec = hf.HeliostatSpec()
     layout = hf.module_centres(spec)
-    ctx = hf.OffAxisContext(incidence0=math.radians(61.0),
-                            s0y=0.5, s0z=0.5, phi=math.atan2(0.5, 0.5))
+    ctx = hf.OffAxisContext(incidence0=math.radians(61.0), phi=math.pi / 4.0)
     with pytest.raises(DegenerateGeometry, match="61"):
         hf.off_axis_canting(spec, layout, ctx, 100.0)
 

@@ -91,9 +91,10 @@ def test_day_course_freezes_canting(table1_config, monkeypatch):
         calls["n"] += 1
         return original(*args, **kwargs)
 
+    # built before the patch: constructing a scene checks its cantings once
+    scene = dataclasses.replace(table1_config, engine="conv", cases=("single",))
     monkeypatch.setattr(metrics, "off_axis_canting", counting)
-    scene = table1_config
-    report = hf.day_course(dataclasses.replace(scene, engine="conv", cases=("single",)))
+    report = hf.day_course(scene)
     # one optimization per heliostat, not one per timestep
     assert calls["n"] == len(scene.heliostats)
     assert len(report.labels) == len(scene.schedule)

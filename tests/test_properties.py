@@ -2,18 +2,23 @@
 
 Each example is a scene built in code: one or two heliostats in front of
 the receiver (X' > 0), one sun 10-80 degrees high, either sunshape, on a
-64-cell grid with small sampling so the module stays fast.  The examples
-are derandomized, so every run of the suite draws the same scenes.
+64-cell grid with small sampling so the module stays fast.  The last
+property draws scenes that need not be valid: one heliostat 2-200 m away
+anywhere in front of the receiver, with any reflectivity in [0, 1].  The
+examples are derandomized, so every run of the suite draws the same scenes.
 """
 
 import dataclasses
 import math
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helioflux as hf
+from helioflux.cli import run
+from helioflux.errors import ConfigError, HelioFluxError
 from helioflux.metrics import ENGINES, VARIANTS, frozen_cantings
 
 
@@ -137,3 +142,39 @@ def test_mirrored_scene_gives_the_y_flipped_map(scene):
         flipped = flux_map.values[::-1, :]
         tol = 1e-12 * float(flux_map.values.max())
         assert np.abs(twin_maps[key].values - flipped).max() <= tol
+
+
+@st.composite
+def any_heliostat(draw):
+    distance = draw(st.floats(2.0, 200.0))
+    bearing = math.radians(draw(st.floats(-89.0, 89.0)))
+    height = math.radians(draw(st.floats(-60.0, 30.0)))
+    across = distance * math.cos(height)
+    return dict(name="h1", reflectivity=draw(st.floats(0.0, 1.0)),
+                position=(across * math.cos(bearing), across * math.sin(bearing),
+                          distance * math.sin(height)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(any_heliostat(), st.floats(-60.0, 60.0), st.floats(10.0, 80.0))
+def test_a_scene_that_builds_runs_or_fails_in_one_line(heliostat, azimuth, elevation):
+    # Anywhere in front of the receiver: a scene either fails to build with a
+    # ConfigError or runs to its artifacts or to one HelioFluxError, never to
+    # another exception or a RuntimeWarning (an error under pytest.ini).
+    with tempfile.TemporaryDirectory() as out_dir:
+        try:
+            scene = hf.SceneConfig(
+                site=hf.SiteSpec(), sunshape=hf.SunshapeModel(),
+                receiver=hf.ReceiverSpec(grid=hf.GridSpec(extent=8.0, cells=64)),
+                heliostats=(hf.HeliostatSpec(**heliostat),),
+                schedule=(hf.ScheduleEntry(label="t00", position=hf.SunPosition(
+                    azimuth=azimuth, elevation=elevation)),),
+                reference=hf.SunPosition(azimuth=0.0, elevation=44.63),
+                out_dir=out_dir,
+                surface_samples=2, radial_nodes=1, azimuth_nodes=4)
+        except ConfigError:
+            return
+        try:
+            run(scene)
+        except HelioFluxError:
+            pass

@@ -45,8 +45,9 @@ def test_bundled_scene_reproduces_reference_parameters(table1_config):
     assert config.reference.elevation == pytest.approx(44.63, abs=1e-9)
     assert [e.label for e in config.schedule] == \
         ["09h00", "10h30", "12h00", "13h30", "15h00"]
-    # receiver incidence of the reference heliostat is 30 degrees
-    cos_beta = abs(h.target_direction() @ hf.RECEIVER_NORMAL)
+    # receiver incidence of the reference heliostat is 30 degrees; the
+    # receiver plane faces +X'
+    cos_beta = abs(h.target_direction()[0])
     assert math.degrees(math.acos(cos_beta)) == pytest.approx(30.0, abs=0.01)
 
 
@@ -215,6 +216,12 @@ IN_CODE = {
     "diameter_nan": (lambda c: dataclasses.replace(c, receiver=dataclasses.replace(
         c.receiver, diameter=math.nan)), "diameter"),
     "grid_extent_inf": (lambda c: _replace_grid(c, extent=math.inf), "extent"),
+    "near_receiver": (lambda c: _replace_heliostat(c, position=(2.0, 0.5, -1.0)),
+                      r"\[heliostat h1\] canting at the reference sun: .*small-angle"),
+    "extreme_incidence": (lambda c: dataclasses.replace(c, reference=hf.SunPosition(
+        azimuth=150.0, elevation=10.0)), r"\[heliostat h1\] .*cos i0 <= 0\.5"),
+    "zero_reflectivity": (lambda c: _replace_heliostat(c, reflectivity=0.0), "reflectivity"),
+    "no_heliostats": (lambda c: dataclasses.replace(c, heliostats=()), "no heliostat"),
 }
 
 
