@@ -2,7 +2,7 @@
 
 Renders the noon flux map of the reference heliostat with the grid ray
 tracer and the FFT convolution engine, compares them, and writes CSV and
-16-bit graymap files under demos/output/.
+16-bit graymap files under demo_output/ in the working directory.
 """
 
 import math
@@ -11,7 +11,7 @@ import os
 import helioflux as hf
 from helioflux import fileio
 
-OUT = os.path.join(os.path.dirname(__file__), "output")
+OUT = os.path.abspath("demo_output")
 os.makedirs(OUT, exist_ok=True)
 
 spec = hf.HeliostatSpec(name="h1")

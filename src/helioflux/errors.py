@@ -22,7 +22,7 @@ class GridTooSmall(HelioFluxError):
 
 
 class GridMismatch(HelioFluxError):
-    """Two flux maps do not share grid geometry or DNI normalization."""
+    """Two flux maps do not share grid geometry, DNI normalization, sun or engine."""
 
 
 class ConfigError(HelioFluxError, ValueError):

@@ -14,7 +14,7 @@ separate heliostats are therefore independent and add cell-wise.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
@@ -154,7 +154,8 @@ def trace_flux_grt(facets, sun, shape, receiver, dni=1.0,
     s = sun_vector(sun)
     dirs, weights = cone_directions(shape, s, radial_nodes, azimuth_nodes)
     power, spilled = _trace_spot(facets, dirs, weights, s, grid, dni, surface_samples)
-    values = power / (grid.cell_area * dni)
+    # dni first: cell_area * dni may underflow to 0 and power / cell_area overflow
+    values = power / dni / grid.cell_area
     return FluxMap(values=values, grid=grid, dni=dni, engine="grt", sun=sun,
                    heliostat_ids=tuple(heliostat_ids), spilled_power=spilled)
 
@@ -170,7 +171,7 @@ def geometric_spot(facets, sun, receiver, dni=1.0,
     s = sun_vector(sun)
     power, spilled = _trace_spot(facets, s[None, :], np.ones(1), s, grid, dni,
                                  surface_samples)
-    return FluxMap(values=power / (grid.cell_area * dni), grid=grid, dni=dni,
+    return FluxMap(values=power / dni / grid.cell_area, grid=grid, dni=dni,
                    engine="spot", sun=sun, heliostat_ids=tuple(heliostat_ids),
                    spilled_power=spilled)
 
@@ -227,7 +228,6 @@ def convolve_flux(facets, sun, shape, receiver, dni=1.0,
     its diagonal is taken as the sum of the facet diagonals, the diagonal
     of the modules laid corner to corner.
     """
-    grid = receiver.grid
     centre = np.mean([f.centre for f in facets], axis=0)
     diagonal = sum(math.hypot(f.width, f.height) for f in facets)
     if max(float(np.linalg.norm(f.centre - centre)) for f in facets) > diagonal:
@@ -237,11 +237,10 @@ def convolve_flux(facets, sun, shape, receiver, dni=1.0,
                             surface_samples=surface_samples,
                             heliostat_ids=heliostat_ids)
     spot = stage1.values
-    spilled = stage1.spilled_power
 
     path_length = float(np.sqrt(centre @ centre))
     beam = -centre / path_length
-    kernel = build_kernel(shape, path_length, beam, grid)
+    kernel = build_kernel(shape, path_length, beam, receiver.grid)
 
     if kernel.shape == (1, 1):
         values = spot * kernel[0, 0]  # delta kernel: convolution is the identity
@@ -255,21 +254,20 @@ def convolve_flux(facets, sun, shape, receiver, dni=1.0,
                 raise GridTooSmall("convolved spot loses more than 1% of its power "
                                    "off the grid; enlarge the grid extent")
             values *= spot_total / conv_total
-    return FluxMap(values=values, grid=grid, dni=dni, engine="conv", sun=sun,
-                   heliostat_ids=tuple(heliostat_ids), spilled_power=spilled)
+    return replace(stage1, values=values, engine="conv")
 
 
 def map_add(a, b):
-    """Cell-wise sum of two maps on identical grids, DNI normalization and sun."""
+    """Cell-wise sum of two maps of one engine, grid, DNI normalization and sun."""
     if a.grid != b.grid:
         raise GridMismatch("flux maps live on different grids")
     if a.dni != b.dni:
         raise GridMismatch("flux maps use different DNI normalizations")
     if a.sun != b.sun:
         raise GridMismatch("flux maps belong to different sun positions")
-    engine = a.engine if a.engine == b.engine else "mixed"
-    return FluxMap(values=a.values + b.values, grid=a.grid, dni=a.dni, engine=engine,
-                   sun=a.sun, heliostat_ids=a.heliostat_ids + b.heliostat_ids,
+    if a.engine != b.engine:
+        raise GridMismatch("flux maps come from different engines")
+    return replace(a, values=a.values + b.values, heliostat_ids=a.heliostat_ids + b.heliostat_ids,
                    spilled_power=a.spilled_power + b.spilled_power)
 
 

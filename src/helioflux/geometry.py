@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import BacklitMirror, DegenerateGeometry
 
-WORLD_UP = np.array([0.0, 0.0, 1.0])
-
 
 def normalize(v):
     """Return ``v`` scaled to unit length."""

@@ -130,16 +130,21 @@ class CantingSet:
         self.h.setflags(write=False)
 
 
+def _sphere_slopes(layout, distance):
+    """Per-module (y/(2d), z/(2d)): the slopes of a sphere of curvature
+    radius 2d focused at ``distance`` d, which must be positive."""
+    if not distance > 0.0:
+        raise ValueError("focusing distance must be positive")
+    return layout.grid_y / (2.0 * distance), layout.grid_z / (2.0 * distance)
+
+
 def spherical_canting(spec, layout, distance):
     """Canting that matches a monolithic sphere of focal length ``distance``.
 
     The local slope of a sphere of curvature radius 2d at lateral offset
     (y, z) tilts the mirror normal by y/(2d) and z/(2d) toward the axis.
     """
-    if distance <= 0.0:
-        raise ValueError("focusing distance must be positive")
-    a = layout.grid_y / (2.0 * distance)
-    h = layout.grid_z / (2.0 * distance)
+    a, h = _sphere_slopes(layout, distance)
     return CantingSet(a=a, h=h)
 
 
@@ -198,10 +203,10 @@ def off_axis_canting(spec, layout, ctx, distance):
     across = (cos_i0 * cos_i0 * sin_phi * sin_phi + cos_phi * cos_phi) / cos_i0
     skew = math.sin(2.0 * ctx.phi) * sin_i0 * sin_i0 / cos_i0
 
-    y = layout.grid_y
-    z = layout.grid_z
-    a = y / (2.0 * distance) * along - z / (4.0 * distance) * skew
-    h = -y / (4.0 * distance) * skew + z / (2.0 * distance) * across
+    # halving y/(2d) gives y/(4d) bit for bit
+    y_slope, z_slope = _sphere_slopes(layout, distance)
+    a = y_slope * along - z_slope / 2.0 * skew
+    h = -y_slope / 2.0 * skew + z_slope * across
     return CantingSet(a=a, h=h)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, HelioFluxError
 from .flux import convolve_flux, map_add, trace_flux_grt
 from .heliostat import (module_centres, off_axis_canting, off_axis_context,
                         realize_modules, spherical_canting)
@@ -25,10 +25,19 @@ CASE_TWINS = {"single": False, "symmetric_pair": True}
 
 
 def concentration_ratio(flux_map):
-    """Peak concentration in suns (peak cell value of the DNI-normalized map)."""
+    """Peak concentration in suns (peak cell value of the DNI-normalized map).
+
+    Every figure that divides by a peak reads it here: a map whose peak is
+    not positive and finite (no representable power on the grid) raises
+    HelioFluxError.
+    """
     if flux_map.values.size == 0:
         raise ValueError("empty flux map")
-    return float(flux_map.values.max())
+    peak = float(flux_map.values.max())
+    if not 0.0 < peak < math.inf:
+        raise HelioFluxError(f"{flux_map.engine} map of {', '.join(flux_map.heliostat_ids)} "
+                             f"has peak {peak!r}: no representable power reaches the grid")
+    return peak
 
 
 def intercepted_power(flux_map, diameter):
@@ -163,24 +172,22 @@ def day_course(scene, collect_maps=False):
         for case in cases:
             first, *rest = members[case]
             for variant in VARIANTS:
-                case_maps = {}
+                case_maps, peaks = {}, {}
                 for eng in engines:
                     combined = single[first.name][(variant, eng)]
                     for h in rest:
                         combined = map_add(combined, single[h.name][(variant, eng)])
                     case_maps[eng] = combined
+                    peaks[eng] = concentration_ratio(combined)
                     if collect_maps:
                         maps[(entry.label, variant, case, eng)] = combined
                 if len(engines) == 2:
-                    ref = case_maps["grt"]
-                    diff = case_maps["conv"].values - ref.values
+                    diff = case_maps["conv"].values - case_maps["grt"].values
                     rms = math.sqrt(float((diff * diff).mean()))
-                    report.engine_rms[(entry.label, variant, case)] = \
-                        rms / float(ref.values.max())
-                chosen = case_maps[report.engine]
-                report.peak[(case, variant)][it] = concentration_ratio(chosen)
+                    report.engine_rms[(entry.label, variant, case)] = rms / peaks["grt"]
+                report.peak[(case, variant)][it] = peaks[report.engine]
                 report.intercepted[(case, variant)][it] = intercepted_power(
-                    chosen, scene.receiver.diameter)
+                    case_maps[report.engine], scene.receiver.diameter)
 
     for case in cases:
         report.gain[case] = (report.peak[(case, "off_axis")]

@@ -44,34 +44,11 @@ Grammar (all angles in degrees, lengths in meters):
 ``angles`` entries and ``reference sun`` share the ``<azimuth> <elevation>``
 form; a ``times`` entry without a zone is UTC.
 
-``KEYS`` lists every key with its type, and nothing else: this module
-parses.  Every number must be finite, and ``[schedule] hours`` lies in
-[0, 24], the one range no dataclass holds.  Each other range is checked
-once, at construction, by the dataclass that holds the value, so a scene
-read from a file and one varied in code with ``dataclasses.replace`` or
-``with_overrides`` meet the same rules:
-
-- ``SiteSpec``: latitude in [-90, 90], longitude in [-180, 180].
-- ``SunshapeModel``: the kind, half angle and limb coefficient.
-- ``SunPosition``: a finite azimuth, elevation in [-90, 90].
-- ``GridSpec`` and ``ReceiverSpec``: a positive, finite extent and
-  diameter, and an even cell count.
-- ``HeliostatSpec``: three finite coordinates with X' > 0, the module
-  counts and sizes, reflectivity in (0, 1].
-- ``SceneConfig``, the scene-wide rules: a known engine, dni positive and
-  finite, sampling minimums (``surface_samples`` 2, ``radial_nodes`` 1,
-  ``azimuth_nodes`` 4), a grid of at least 16 cells and 0.1 m, at least
-  one heliostat, focal lengths in [80, 120] m, a non-empty schedule with
-  unique labels, every sun (schedule entries and the reference) above the
-  horizon, unique heliostat names, and heliostat names and labels without
-  a path separator, since both become part of output file names.  It
-  calls ``metrics.case_heliostats`` for the case rule: known cases, each
-  at most once, and with case symmetric_pair no heliostat named like
-  another's mirror twin, NAME_mirror.  It builds ``metrics.frozen_cantings``
-  for every heliostat of every case, mirror twins included, so a
-  heliostat whose canting at the reference sun leaves the small-angle
-  regime (|angle| < 0.1 rad) or whose reference incidence has
-  cos i0 <= 0.5 fails at construction, not in the middle of a run.
+``KEYS`` lists every key with its type; this module parses, and holds
+only two rules: every number is finite, and ``[schedule] hours`` lie in
+[0, 24].  Each other rule is checked once, at construction, by the
+dataclass that holds the value (``SceneConfig`` for the scene-wide ones),
+so a scene read from a file and one varied in code meet the same rules.
 
 A key absent from the file takes the default of the dataclass field it
 fills; ``--validate-only`` on a minimal scene prints every default.
@@ -114,9 +91,10 @@ KEYS = {
 class SceneConfig:
     """Fully resolved scene: every field is populated, defaults included.
 
-    Valid by construction: ``__post_init__`` checks the scene-wide rules
-    listed in the module docstring, whether the scene comes from
-    ``load_config``, ``with_overrides`` or ``dataclasses.replace``.
+    Valid by construction: ``__post_init__`` checks the scene-wide rules,
+    the case rule and each case member's canting at the reference sun
+    included, whether the scene comes from ``load_config``,
+    ``with_overrides`` or ``dataclasses.replace``.
     """
 
     site: SiteSpec
@@ -335,7 +313,7 @@ def load_config(path):
     sections = dict(parser.items())
     sections.pop("DEFAULT", None)
 
-    heliostat_sections = {}
+    heliostat_sections = []
     for section in list(sections):
         if section.startswith("heliostat"):
             parts = section.split(None, 1)
@@ -343,9 +321,7 @@ def load_config(path):
             if not name:
                 raise ConfigError(f"[{section}] heliostat sections need a name: "
                                   "[heliostat NAME]")
-            if name in heliostat_sections:
-                raise ConfigError(f"duplicate heliostat name {name!r}")
-            heliostat_sections[name] = dict(sections.pop(section))
+            heliostat_sections.append((name, dict(sections.pop(section))))
         elif section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
 
@@ -372,8 +348,7 @@ def load_config(path):
     receiver = _build("receiver", ReceiverSpec, grid=_build("receiver", GridSpec, **grid),
                       **recv)
 
-    heliostats = tuple(_parse_heliostat(name, items)
-                       for name, items in heliostat_sections.items())
+    heliostats = tuple(_parse_heliostat(name, items) for name, items in heliostat_sections)
     schedule = _parse_schedule(sections["schedule"], site)
     reference = _parse_reference(sections.get("reference", {}), site)
 

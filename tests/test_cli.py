@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import helioflux as hf
-from helioflux.cli import main
+from helioflux import fileio
+from helioflux.cli import main, run
 
 FAST_SCENE = """
 [sunshape]
@@ -103,6 +104,15 @@ def test_pgm_format(fast_scene, tmp_path):
     assert image.max() == 65535  # scaled to the peak
 
 
+def test_pgm_of_a_zero_map_is_black(tmp_path):
+    zero = hf.FluxMap(values=np.zeros((4, 4)), grid=hf.GridSpec(4.0, 4), dni=1.0,
+                      engine="conv", sun=hf.SunPosition(azimuth=0.0, elevation=45.0),
+                      heliostat_ids=("h1",))
+    path = tmp_path / "zero.pgm"
+    fileio.write_flux_pgm(zero, str(path))
+    assert path.read_bytes() == b"P5\n4 4\n65535\n" + bytes(2 * 16)
+
+
 def _with(after, line):
     return FAST_SCENE.replace(after, after + "\n" + line)
 
@@ -139,6 +149,52 @@ def test_cli_reports_config_error_single_line(body, tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: ConfigError: ")
     assert not out.exists()
+
+
+# maps with no representable power on the grid: every peak is 0, so no
+# gain or RMS figure may divide by one
+NO_POWER_SCENES = {
+    "reflectivity_subnormal_both": (_with("position = 86.6, 50.0, 0.0",
+                                          "reflectivity = 5e-324"), "both"),
+    "reflectivity_subnormal_conv": (_with("position = 86.6, 50.0, 0.0",
+                                          "reflectivity = 5e-324"), "conv"),
+    "dni_subnormal_conv": (_with("cases = single", "dni = 5e-324"), "conv"),
+}
+
+
+@pytest.mark.parametrize("body, engine", NO_POWER_SCENES.values(),
+                         ids=NO_POWER_SCENES.keys())
+def test_cli_run_without_power_on_the_grid_fails_in_one_line(body, engine, tmp_path,
+                                                              capsys):
+    path = tmp_path / "dark.scene"
+    path.write_text(body, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--engine", engine, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: HelioFluxError: ")
+    assert "no representable power" in err
+    assert not os.listdir(out_dir)
+
+
+def test_run_removes_written_artifacts_when_a_writer_fails(fast_scene, tmp_path,
+                                                           monkeypatch):
+    calls = []
+    write_flux_pgm = fileio.write_flux_pgm
+
+    def fail_on_third_call(flux_map, path):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write_flux_pgm(flux_map, path)
+
+    monkeypatch.setattr(fileio, "write_flux_pgm", fail_on_third_call)
+    out_dir = tmp_path / "partial"
+    config = hf.with_overrides(hf.load_config(fast_scene), out_dir=str(out_dir))
+    with pytest.raises(OSError, match="disk full"):
+        run(config)
+    assert len(calls) == 3
+    assert not os.listdir(out_dir)
 
 
 def test_cli_removes_partial_outputs_on_failure(tmp_path, capsys):

@@ -417,6 +417,12 @@ def test_map_add_rejects_maps_of_different_suns():
         hf.map_add(a, b)
 
 
+def test_map_add_rejects_maps_of_different_engines():
+    with pytest.raises(GridMismatch, match="engines"):
+        hf.map_add(make_map(np.zeros((4, 4)), engine="grt"),
+                   make_map(np.zeros((4, 4)), engine="conv"))
+
+
 def test_map_add_merges_heliostat_ids():
     a = make_map(np.zeros((4, 4)), heliostat_ids=("h1",))
     b = make_map(np.zeros((4, 4)), heliostat_ids=("h2",))
@@ -437,6 +443,12 @@ def test_map_stats_uniform_and_delta():
     stats = hf.map_stats(delta)
     assert stats["centroid"][0] == pytest.approx(delta.grid.centres()[3], abs=1e-12)
     assert stats["centroid"][1] == pytest.approx(delta.grid.centres()[1], abs=1e-12)
+
+
+def test_map_stats_of_a_zero_map():
+    stats = hf.map_stats(make_map(np.zeros((4, 4))))
+    assert (stats["peak"], stats["total_power"], stats["spill_fraction"]) == (0.0, 0.0, 0.0)
+    assert all(math.isnan(c) for c in stats["centroid"])
 
 
 def test_map_stats_rejects_empty():

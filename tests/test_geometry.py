@@ -23,6 +23,11 @@ def random_unit(rng):
     return v / np.linalg.norm(v)
 
 
+def test_normalize_rejects_zero_vector():
+    with pytest.raises(DegenerateGeometry, match="zero vector"):
+        hf.normalize(np.zeros(3))
+
+
 # --- reflect ---------------------------------------------------------------
 
 def test_reflect_normal_incidence_retroreflects():

@@ -68,6 +68,12 @@ def test_heliostat_spec_validation():
         hf.HeliostatSpec(reflectivity=1.2)
     with pytest.raises(ValueError, match="reflectivity"):
         hf.HeliostatSpec(reflectivity=0.0)
+    with pytest.raises(ValueError, match="three finite coordinates"):
+        hf.HeliostatSpec(position=(86.6, 50.0))
+    with pytest.raises(ValueError, match="taller"):
+        hf.HeliostatSpec(module_height=2.0)  # 2 x 2.0 > 3.0
+    with pytest.raises(ValueError, match="focal length"):
+        hf.HeliostatSpec(focal_length=0.0)
 
 
 # --- spherical canting -------------------------------------------------------
@@ -199,6 +205,17 @@ def test_off_axis_rejects_extreme_incidence():
     ctx = hf.OffAxisContext(incidence0=math.radians(61.0), phi=math.pi / 4.0)
     with pytest.raises(DegenerateGeometry, match="61"):
         hf.off_axis_canting(spec, layout, ctx, 100.0)
+
+
+@pytest.mark.parametrize("distance", [0.0, -100.0])
+def test_canting_rejects_non_positive_focusing_distance(distance):
+    spec = hf.HeliostatSpec()
+    layout = hf.module_centres(spec)
+    ctx = hf.OffAxisContext(incidence0=math.radians(26.0), phi=math.pi / 4.0)
+    with pytest.raises(ValueError, match="focusing distance"):
+        hf.spherical_canting(spec, layout, distance)
+    with pytest.raises(ValueError, match="focusing distance"):
+        hf.off_axis_canting(spec, layout, ctx, distance)
 
 
 def test_canting_set_rejects_large_angles():

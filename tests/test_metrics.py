@@ -7,7 +7,7 @@ import pytest
 
 import helioflux as hf
 import helioflux.metrics as metrics
-from helioflux.errors import ConfigError
+from helioflux.errors import ConfigError, HelioFluxError
 
 
 def make_map(values, grid=None):
@@ -32,6 +32,16 @@ def test_concentration_scales_linearly():
     assert c3 == pytest.approx(3.0 * c1, rel=1e-12)
 
 
+def test_concentration_needs_power_on_the_grid():
+    with pytest.raises(ValueError, match="empty"):
+        hf.concentration_ratio(make_map(np.zeros((0, 0)), grid=hf.GridSpec()))
+    for peak in (0.0, np.nan, np.inf):
+        values = np.zeros((4, 4))
+        values[1, 2] = peak
+        with pytest.raises(HelioFluxError, match="no representable power"):
+            hf.concentration_ratio(make_map(values))
+
+
 def test_noon_gain_within_published_band(table1_run):
     report, _ = table1_run
     noon = report.labels.index("12h00")
@@ -49,6 +59,7 @@ def test_intercepted_power_limits():
     assert hf.intercepted_power(m, 1e-6) == 0.0
     with pytest.raises(ValueError):
         hf.intercepted_power(m, 0.0)
+    assert hf.intercepted_power(make_map(np.zeros((16, 16))), 100.0) == 0.0
 
 
 def test_off_axis_interception_beats_spherical_at_noon(noon_maps, table1_config):

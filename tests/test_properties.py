@@ -4,8 +4,9 @@ Each example is a scene built in code: one or two heliostats in front of
 the receiver (X' > 0), one sun 10-80 degrees high, either sunshape, on a
 64-cell grid with small sampling so the module stays fast.  The last
 property draws scenes that need not be valid: one heliostat 2-200 m away
-anywhere in front of the receiver, with any reflectivity in [0, 1].  The
-examples are derandomized, so every run of the suite draws the same scenes.
+anywhere in front of the receiver, with any reflectivity in [0, 1], any
+DNI up to 2000 and either engine setting.  The examples are derandomized,
+so every run of the suite draws the same scenes.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helioflux as hf
 from helioflux.cli import run
@@ -155,9 +156,18 @@ def any_heliostat(draw):
                           distance * math.sin(height)))
 
 
+TABLE1_H1 = dict(name="h1", position=(86.6, 50.0, 0.0))
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(any_heliostat(), st.floats(-60.0, 60.0), st.floats(10.0, 80.0))
-def test_a_scene_that_builds_runs_or_fails_in_one_line(heliostat, azimuth, elevation):
+@given(any_heliostat(), st.floats(-60.0, 60.0), st.floats(10.0, 80.0),
+       st.sampled_from(tuple(ENGINES)), st.floats(0.0, 2000.0))
+# subnormal reflectivity or DNI: every map of the scene is exactly zero
+@example(dict(TABLE1_H1, reflectivity=5e-324), 0.0, 44.63, "both", 1.0)
+@example(dict(TABLE1_H1, reflectivity=5e-324), 0.0, 44.63, "conv", 1.0)
+@example(dict(TABLE1_H1, reflectivity=1.0), 0.0, 44.63, "conv", 5e-324)
+def test_a_scene_that_builds_runs_or_fails_in_one_line(heliostat, azimuth, elevation,
+                                                       engine, dni):
     # Anywhere in front of the receiver: a scene either fails to build with a
     # ConfigError or runs to its artifacts or to one HelioFluxError, never to
     # another exception or a RuntimeWarning (an error under pytest.ini).
@@ -170,7 +180,7 @@ def test_a_scene_that_builds_runs_or_fails_in_one_line(heliostat, azimuth, eleva
                 schedule=(hf.ScheduleEntry(label="t00", position=hf.SunPosition(
                     azimuth=azimuth, elevation=elevation)),),
                 reference=hf.SunPosition(azimuth=0.0, elevation=44.63),
-                out_dir=out_dir,
+                engine=engine, dni=dni, out_dir=out_dir,
                 surface_samples=2, radial_nodes=1, azimuth_nodes=4)
         except ConfigError:
             return

@@ -127,6 +127,10 @@ def test_duplicate_heliostat_names_rejected(tmp_path):
     body = MINIMAL + "\n[heliostat h1]\nposition = 86.6, -50.0, 0.0\n"
     with pytest.raises(ConfigError):
         hf.load_config(write_scene(tmp_path, body))
+    # two section headers that name the same heliostat meet SceneConfig's rule
+    body = MINIMAL + "\n[heliostat  h1]\nposition = 86.6, -50.0, 0.0\n"
+    with pytest.raises(ConfigError, match=r"\[heliostat h1\] duplicate name 'h1'"):
+        hf.load_config(write_scene(tmp_path, body))
 
 
 def test_heliostat_named_like_a_mirror_twin_rejected(tmp_path):
@@ -155,6 +159,30 @@ def test_path_separator_in_file_name_rejected(body, key, tmp_path, capsys):
     assert err.startswith(f"error: ConfigError: {key}: ")
     assert err.endswith("contains a path separator\n") and err.count("\n") == 1
     assert not out.exists()
+
+
+# each scene-file error the parser itself raises, with the key it names
+FILE_ERRORS = {
+    "missing_diameter": (MINIMAL.replace("diameter = 1.2", "grid_cells = 64"),
+                         r"\[receiver\] missing required key 'diameter'"),
+    "three_number_angles": (MINIMAL.replace("hours = 12.0", "angles = 0 44.63 1"),
+                            r"\[schedule\] angles: entry 0: expected '<azimuth> <elevation>'"),
+    "hours_25": (MINIMAL.replace("hours = 12.0", "hours = 25"),
+                 r"\[schedule\] hours: 25.0 outside \[0, 24\]"),
+    "times_not_iso": (MINIMAL.replace("hours = 12.0", "times = 2022-09-23 noon"),
+                      r"\[schedule\] times: entry 0: '2022-09-23 noon' is not an ISO"),
+    "equinox_noon_south": (MINIMAL + "\n[site]\nlatitude = -10\n",
+                           r"\[reference\] equinox-noon needs a site latitude"),
+    "bare_heliostat": (MINIMAL + "\n[heliostat]\nposition = 86.6, -50.0, 0.0\n",
+                       r"\[heliostat\] heliostat sections need a name"),
+}
+
+
+@pytest.mark.parametrize("body, match", FILE_ERRORS.values(), ids=FILE_ERRORS.keys())
+def test_scene_file_error_is_one_line_naming_its_key(body, match, tmp_path):
+    with pytest.raises(ConfigError, match=match) as err:
+        hf.load_config(write_scene(tmp_path, body))
+    assert "\n" not in str(err.value)
 
 
 def test_heliostat_behind_receiver_rejected(tmp_path):
@@ -222,6 +250,9 @@ IN_CODE = {
         azimuth=150.0, elevation=10.0)), r"\[heliostat h1\] .*cos i0 <= 0\.5"),
     "zero_reflectivity": (lambda c: _replace_heliostat(c, reflectivity=0.0), "reflectivity"),
     "no_heliostats": (lambda c: dataclasses.replace(c, heliostats=()), "no heliostat"),
+    "no_cases": (lambda c: dataclasses.replace(c, cases=()), "at least one case"),
+    "longitude": (lambda c: dataclasses.replace(c, site=dataclasses.replace(
+        c.site, longitude=200.0)), "longitude 200.0 outside"),
 }
 
 
