@@ -29,8 +29,13 @@ def write_flux_csv(flux_map, path):
         fh.write("# rows: z' descending from +extent/2; columns: y' ascending\n")
         image = flux_map.values.T[::-1, :]  # (z rows top-down, y columns)
         row_format = ",".join(["%.9e"] * image.shape[1]) + "\n"
-        for row in image:
-            fh.write(row_format % tuple(row.tolist()))
+        # most rows miss the spot: a row of +0.0 cells only is written as one
+        # string formatted once.  A -0.0 or NaN cell makes its row live, so
+        # every row reads exactly as if it were formatted cell by cell.
+        zero_row = row_format % ((0.0,) * image.shape[1])
+        live = ((image != 0.0) | np.signbit(image)).any(axis=1)
+        for row, is_live in zip(image, live.tolist()):
+            fh.write(row_format % tuple(row.tolist()) if is_live else zero_row)
 
 
 def write_flux_pgm(flux_map, path):

@@ -71,12 +71,17 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
     an error.
 
     Each facet is traced in chunks of sample rows, working in place, into
-    one flat bin index and one weight per ray.  One ``bincount`` per facet
+    one flat bin index and one weight per ray, in buffers that all facets
+    share (fresh ones per facet cost page faults).  One ``bincount`` per facet
     then deposits its rays in ray order; bin ``n * n`` past the n x n grid
-    collects the spill.
+    collects the spill.  Only the flat bins from the lowest one a ray hit
+    (tracked per chunk) to the highest are added to the map, and the spill
+    bin is read only when a ray spilled, so a facet costs what its rays
+    cover, not the whole grid.  Every cell gets the same sums in the same
+    order as a full-grid add.
     """
     n = grid.cells
-    power = np.zeros((n, n))
+    power = np.zeros(n * n)
     spilled = 0.0
     n_samples, n_dirs = surface_samples * surface_samples, len(sun_dirs)
     rows = max(1, _CHUNK_RAYS // n_dirs)
@@ -84,6 +89,8 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
     half, cell = 0.5 * grid.extent, grid.cell_size
     work = np.empty((4, min(rows, n_samples), n_dirs))
     flags = np.empty((2, min(rows, n_samples), n_dirs), dtype=bool)
+    bins = np.empty((n_samples, n_dirs), dtype=np.int64)
+    weights = np.empty((n_samples, n_dirs))
     for facet in facets:
         points, normals, cell_area = facet.sample_grid(surface_samples)
         central_cos = (normals[:, 0] * central_sun[0] + normals[:, 1] * central_sun[1]
@@ -92,8 +99,7 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
             raise BacklitMirror("facet is back-lit at the current sun position")
 
         scale = dni * cell_area * facet.reflectivity
-        bins = np.empty((n_samples, n_dirs), dtype=np.int64)
-        weights = np.empty((n_samples, n_dirs))
+        lo = n * n
         for start in range(0, n_samples, rows):
             stop = min(start + rows, n_samples)
             px, py, pz = (points[start:stop, k, None] for k in range(3))
@@ -136,12 +142,17 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
                 out_y += out_z
             # every other ray goes to the spill bin
             np.copyto(out_y, n * n, where=np.logical_not(on_grid, out=on_grid))
+            lo = min(lo, int(out_y.min()))  # while the chunk is still in cache
             bins[start:stop] = out_y  # whole numbers, exact below 2**53
 
-        facet_power = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=n * n + 1)
-        power += facet_power[:n * n].reshape(n, n)
-        spilled += float(facet_power[n * n])
-    return power, spilled
+        # bins past the highest one hit, and the spill bin when no ray
+        # spilled, are not in the bincount at all
+        facet_power = np.bincount(bins.ravel(), weights=weights.ravel())
+        hi = min(len(facet_power), n * n)
+        power[lo:hi] += facet_power[lo:hi]
+        if len(facet_power) > n * n:
+            spilled += float(facet_power[n * n])
+    return power.reshape(n, n), spilled
 
 
 def trace_flux_grt(facets, sun, shape, receiver, dni=1.0,

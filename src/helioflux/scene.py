@@ -35,7 +35,7 @@ Grammar (all angles in degrees, lengths in meters):
     [run]                        # optional
     engine = grt | conv | both
     cases = <comma list of single, symmetric_pair, each at most once>
-    dni = <direct normal irradiance, W/m^2, positive>
+    dni = <direct normal irradiance, W/m^2, in (0, 2000]>
     out = <output directory>
     surface_samples = <per facet axis>
     radial_nodes = <sun-cone rings>
@@ -115,8 +115,10 @@ class SceneConfig:
         if self.engine not in ENGINES:
             raise ConfigError(f"[run] engine: {self.engine!r} is not one of "
                               f"{', '.join(ENGINES)}")
-        if not 0.0 < self.dni < math.inf:
-            raise ConfigError(f"[run] dni: {self.dni!r} is not positive and finite")
+        # a physical bound (the solar constant is 1361 W/m^2): a DNI near the
+        # float range would overflow the ray power
+        if not 0.0 < self.dni <= 2000.0:
+            raise ConfigError(f"[run] dni: {self.dni!r} outside (0, 2000] W/m^2")
         grid = self.receiver.grid
         for where, key, value, least in (
                 ("run", "surface_samples", self.surface_samples, 2),
@@ -315,9 +317,9 @@ def load_config(path):
 
     heliostat_sections = []
     for section in list(sections):
-        if section.startswith("heliostat"):
-            parts = section.split(None, 1)
-            name = parts[1].strip() if len(parts) == 2 else ""
+        # the first word is exactly "heliostat": [heliostats h1] is unknown
+        if section == "heliostat" or section.startswith(("heliostat ", "heliostat\t")):
+            name = section[len("heliostat"):].strip()
             if not name:
                 raise ConfigError(f"[{section}] heliostat sections need a name: "
                                   "[heliostat NAME]")

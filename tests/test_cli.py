@@ -104,6 +104,41 @@ def test_pgm_format(fast_scene, tmp_path):
     assert image.max() == 65535  # scaled to the peak
 
 
+def _one_cell(index, value):
+    values = np.zeros((6, 6))
+    values[index] = value
+    return values
+
+
+# maps whose rows are mostly +0.0: the writer's zero-row string must read
+# exactly as the cells formatted one by one
+SPARSE_MAPS = {
+    "all_zero": np.zeros((6, 6)),
+    "first_first": _one_cell((0, 0), 2.5),
+    "first_last": _one_cell((0, 5), 2.5),
+    "last_first": _one_cell((5, 0), 2.5),
+    "last_last": _one_cell((5, 5), 2.5),
+    "negative_zero": _one_cell((2, 3), -0.0),
+    "subnormal": _one_cell((3, 1), 5e-324),
+}
+
+
+@pytest.mark.parametrize("values", SPARSE_MAPS.values(), ids=SPARSE_MAPS.keys())
+def test_flux_csv_rows_match_the_dense_formatter(values, tmp_path):
+    flux_map = hf.FluxMap(values=values, grid=hf.GridSpec(6.0, 6), dni=1.0, engine="conv",
+                          sun=hf.SunPosition(azimuth=0.0, elevation=45.0),
+                          heliostat_ids=("h1",))
+    path = tmp_path / "map.csv"
+    fileio.write_flux_csv(flux_map, str(path))
+    image = values.T[::-1, :]
+    row_format = ",".join(["%.9e"] * image.shape[1]) + "\n"
+    dense = "".join(row_format % tuple(row.tolist()) for row in image)
+    text = path.read_text(encoding="utf-8")
+    header = "".join(line for line in text.splitlines(keepends=True) if line.startswith("#"))
+    assert text == header + dense
+    assert header.count("\n") == 7
+
+
 def test_pgm_of_a_zero_map_is_black(tmp_path):
     zero = hf.FluxMap(values=np.zeros((4, 4)), grid=hf.GridSpec(4.0, 4), dni=1.0,
                       engine="conv", sun=hf.SunPosition(azimuth=0.0, elevation=45.0),
@@ -132,6 +167,7 @@ BAD_SCENES = {
     "grid_extent_nan": FAST_SCENE.replace("grid_extent = 4.0", "grid_extent = nan"),
     "diameter_inf": FAST_SCENE.replace("diameter = 1.2", "diameter = inf"),
     "dni_inf": _with("cases = single", "dni = inf"),
+    "dni_huge": _with("cases = single", "dni = 1e308"),
     "latitude_nan": FAST_SCENE + "\n[site]\nlatitude = nan\n",
     "near_receiver": FAST_SCENE.replace("position = 86.6, 50.0, 0.0",
                                         "position = 2.0, 0.5, -1.0"),

@@ -207,13 +207,30 @@ def _reference_trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni,
     return power, spilled
 
 
-@pytest.mark.parametrize("samples, nodes, extent, cells", [
-    (33, (6, 12), 4.0, 64),    # 33^2 sample rows: chunks with a remainder
-    (33, (6, 12), 0.5, 32),    # a grid so small that rays spill
-    (12, (24, 48), 4.0, 128),  # default cone quadrature, short chunks
-    (33, None, 0.5, 32),       # one direction: the geometric-spot path
+# Incoming directions tilted off the sun centre (the back-lit test keeps the
+# centre) so that the flat bins the rays land in start at bin 0, end at bin
+# n * n - 1, or are none at all: the ends of the range the deposit adds.
+TILTS = {"first_bin": (0.0, 0.028, 0.028), "last_bin": (0.0, -0.025, -0.025),
+         "no_bin": (0.0, 0.2, 0.0)}
+
+
+@pytest.mark.parametrize("samples, nodes, extent, cells, tilt", [
+    # 33^2 sample rows: chunks with a remainder
+    pytest.param(33, (6, 12), 4.0, 64, None, id="33-nodes0-4.0-64"),
+    # a grid so small that rays spill
+    pytest.param(33, (6, 12), 0.5, 32, None, id="33-nodes1-0.5-32"),
+    # default cone quadrature, short chunks
+    pytest.param(12, (24, 48), 4.0, 128, None, id="12-nodes2-4.0-128"),
+    # one direction: the geometric-spot path
+    pytest.param(33, None, 0.5, 32, None, id="33-None-0.5-32"),
+    pytest.param(33, (6, 12), 4.0, 64, "first_bin", id="first_bin-nodes"),
+    pytest.param(33, None, 4.0, 64, "first_bin", id="first_bin-None"),
+    pytest.param(33, (6, 12), 4.0, 64, "last_bin", id="last_bin-nodes"),
+    pytest.param(33, None, 4.0, 64, "last_bin", id="last_bin-None"),
+    pytest.param(33, (6, 12), 4.0, 64, "no_bin", id="no_bin-nodes"),
 ])
-def test_chunked_ray_kernel_matches_unchunked_reference(samples, nodes, extent, cells):
+def test_chunked_ray_kernel_matches_unchunked_reference(samples, nodes, extent, cells,
+                                                        tilt):
     sun = hf.SunPosition(azimuth=30.0, elevation=40.0)
     facets = reference_facets(sun=sun)
     s = hf.sun_vector(sun)
@@ -221,6 +238,9 @@ def test_chunked_ray_kernel_matches_unchunked_reference(samples, nodes, extent, 
         dirs, weights = s[None, :], np.ones(1)
     else:
         dirs, weights = hf.cone_directions(hf.SunshapeModel(half_angle=2.5e-3), s, *nodes)
+    if tilt is not None:
+        dirs = dirs + TILTS[tilt]
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     rows = max(1, flux._CHUNK_RAYS // len(dirs))
     assert nodes is None or (samples * samples > rows and samples * samples % rows)
     grid = hf.GridSpec(extent=extent, cells=cells)
@@ -230,7 +250,14 @@ def test_chunked_ray_kernel_matches_unchunked_reference(samples, nodes, extent, 
     assert np.array_equal(power, ref_power)
     # the spill bin sums its rays in another order than the reference
     assert spilled == pytest.approx(ref_spilled, rel=1e-12)
-    assert (spilled > 0.0) == (extent < 1.0)
+    assert (spilled > 0.0) == (extent < 1.0 or tilt is not None)
+    lands = ref_power.ravel() > 0.0
+    if tilt == "first_bin":
+        assert lands[0] and not lands[-1]
+    elif tilt == "last_bin":
+        assert lands[-1] and not lands[0]
+    elif tilt == "no_bin":
+        assert not lands.any()
 
 
 # --- convolution engine ---------------------------------------------------------

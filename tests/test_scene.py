@@ -175,6 +175,11 @@ FILE_ERRORS = {
                            r"\[reference\] equinox-noon needs a site latitude"),
     "bare_heliostat": (MINIMAL + "\n[heliostat]\nposition = 86.6, -50.0, 0.0\n",
                        r"\[heliostat\] heliostat sections need a name"),
+    # a first word that merely starts with "heliostat" defines no heliostat
+    "heliostats_typo": (MINIMAL.replace("[heliostat h1]", "[heliostats h1]"),
+                        r"unknown section \[heliostats h1\]"),
+    "dni_above_2000": (MINIMAL + "\n[run]\ndni = 1e308\n",
+                       r"\[run\] dni: 1e\+308 outside \(0, 2000\]"),
 }
 
 
@@ -253,6 +258,8 @@ IN_CODE = {
     "no_cases": (lambda c: dataclasses.replace(c, cases=()), "at least one case"),
     "longitude": (lambda c: dataclasses.replace(c, site=dataclasses.replace(
         c.site, longitude=200.0)), "longitude 200.0 outside"),
+    "dni_above_2000": (lambda c: dataclasses.replace(c, dni=2000.0000000000002),
+                       r"dni: 2000\.0000000000002 outside"),
 }
 
 
@@ -260,6 +267,17 @@ IN_CODE = {
 def test_scene_varied_in_code_meets_the_file_rules(vary, match, table1_config):
     with pytest.raises(ConfigError, match=match):
         vary(table1_config)
+
+
+def test_dni_bound_is_inclusive(table1_config, tmp_path):
+    assert dataclasses.replace(table1_config, dni=2000.0).dni == 2000.0
+    body = MINIMAL + "\n[run]\ndni = 2000\n"
+    assert hf.load_config(write_scene(tmp_path, body)).dni == 2000.0
+
+
+def test_heliostat_section_name_may_follow_a_tab(tmp_path):
+    body = MINIMAL.replace("[heliostat h1]", "[heliostat\th1]")
+    assert [h.name for h in hf.load_config(write_scene(tmp_path, body)).heliostats] == ["h1"]
 
 
 # --- schedule modes --------------------------------------------------------------
