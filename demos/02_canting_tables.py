@@ -32,7 +32,7 @@ def centre_ray_misses(canting):
     sun_vec = hf.sun_vector(reference)
     misses = []
     for facet in hf.realize_modules(spec, layout, canting, reference):
-        point, normal = facet.surface(0.0, 0.0)
+        point, normal = facet.centre, facet.axes[:, 0]
         out = hf.reflect(sun_vec, normal)
         land = point - point[0] / out[0] * out
         misses.append(math.hypot(land[1], land[2]))

@@ -92,7 +92,7 @@ def main(argv=None):
         print(f"wrote {len(written)} files to {config.out_dir} in {elapsed:.1f}s",
               file=sys.stderr)
         return 0
-    except HelioFluxError as exc:
+    except (HelioFluxError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

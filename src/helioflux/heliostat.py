@@ -26,6 +26,7 @@ from .geometry import bisector_normal, heliostat_frame
 from .sun import sun_vector
 
 CANTING_LIMIT = 0.1  # rad; beyond this the small-angle canting formulas are meaningless
+MAX_DISTANCE = 1e4  # m from the receiver; several times the largest tower field
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,11 @@ class HeliostatSpec:
         if not self.position[0] > 0.0:
             raise ConfigError("position: X' must be positive so the receiver front face "
                               "sees the heliostat")
+        # hypot, unlike the squares in slant_distance, cannot overflow
+        distance = math.hypot(*self.position)
+        if distance > MAX_DISTANCE:
+            raise ConfigError(f"position: {distance} m from the receiver, "
+                              f"beyond the {MAX_DISTANCE:g} m bound")
         if not (self.modules_across > 0 and self.modules_up > 0):
             raise ConfigError("module counts must be positive")
         if not (self.module_width > 0.0 and self.module_height > 0.0):
@@ -93,14 +99,6 @@ class ModuleLayout:
     y: np.ndarray
     z: np.ndarray
 
-    @property
-    def grid_y(self):
-        return np.repeat(self.y[:, None], len(self.z), axis=1)
-
-    @property
-    def grid_z(self):
-        return np.repeat(self.z[None, :], len(self.y), axis=0)
-
 
 def module_centres(spec):
     """Regular symmetric grid of module centres with pitches w/m and h/n."""
@@ -135,7 +133,8 @@ def _sphere_slopes(layout, distance):
     radius 2d focused at ``distance`` d, which must be positive."""
     if not distance > 0.0:
         raise ValueError("focusing distance must be positive")
-    return layout.grid_y / (2.0 * distance), layout.grid_z / (2.0 * distance)
+    y, z = np.meshgrid(layout.y, layout.z, indexing="ij")
+    return y / (2.0 * distance), z / (2.0 * distance)
 
 
 def spherical_canting(spec, layout, distance):
@@ -254,30 +253,24 @@ def canting_rotation(a, h):
     return _rot_y(h) @ _rot_z(-a)
 
 
-def _cap_surface(focal_length, u, v):
-    """Facet-local points (sag, u, v) and unit normals of the module cap."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if focal_length is None or math.isinf(focal_length):
-        sag = np.zeros_like(u)
-        n_local = np.stack((np.ones_like(u), sag, sag), axis=-1)
-    else:
-        r_curv = 2.0 * focal_length
-        sag = r_curv - np.sqrt(r_curv * r_curv - u * u - v * v)
-        n_local = np.stack(((r_curv - sag) / r_curv, -u / r_curv, -v / r_curv), axis=-1)
-    return np.stack((sag, u, v), axis=-1), n_local
-
-
 @functools.lru_cache(maxsize=4)
 def _local_sample_grid(width, height, focal_length, samples):
-    """Facet-local midpoint grid of a module shape, shared read-only by all
-    facets of that shape: only the rotation into world axes differs."""
+    """Facet-local midpoint grid of a module shape: points (sag, u, v), unit
+    normals and cell area of the cap described in ``Facet``, shared read-only
+    by all facets of that shape: only the rotation into world axes differs."""
     du = width / samples
     dv = height / samples
     u = (np.arange(samples) + 0.5) * du - 0.5 * width
     v = (np.arange(samples) + 0.5) * dv - 0.5 * height
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    p_local, n_local = _cap_surface(focal_length, uu.ravel(), vv.ravel())
+    uu, vv = (g.ravel() for g in np.meshgrid(u, v, indexing="ij"))
+    if focal_length is None or math.isinf(focal_length):
+        sag = np.zeros_like(uu)
+        n_local = np.stack((np.ones_like(uu), sag, sag), axis=-1)
+    else:
+        r_curv = 2.0 * focal_length
+        sag = r_curv - np.sqrt(r_curv * r_curv - uu * uu - vv * vv)
+        n_local = np.stack(((r_curv - sag) / r_curv, -uu / r_curv, -vv / r_curv), axis=-1)
+    p_local = np.stack((sag, uu, vv), axis=-1)
     p_local.setflags(write=False)
     n_local.setflags(write=False)
     return p_local, n_local, du * dv
@@ -288,8 +281,10 @@ class Facet:
     """One oriented mirror module: a spherical cap around its centre.
 
     ``axes`` columns map facet-local coordinates (x = optical axis,
-    y across, z up) to world directions.  A flat facet has
-    ``focal_length`` None (the f -> infinity limit).
+    y across, z up) to world directions.  The cap has curvature radius 2f
+    and its vertex at ``centre``, where its normal is ``axes[:, 0]``; it
+    sags toward the focus, and its normals point at the curvature centre.
+    A flat facet has ``focal_length`` None (the f -> infinity limit).
     """
 
     centre: np.ndarray
@@ -298,17 +293,6 @@ class Facet:
     height: float
     focal_length: float | None
     reflectivity: float
-
-    def surface(self, u, v):
-        """Surface points and unit normals at facet coordinates (u, v).
-
-        (u, v) range over the module rectangle; the surface is a spherical
-        cap of curvature radius 2f whose vertex is the module centre,
-        sagging toward the focus, with normals pointing at the curvature
-        centre.  Returns world arrays shaped like u + (3,).
-        """
-        p_local, n_local = _cap_surface(self.focal_length, u, v)
-        return self.centre + p_local @ self.axes.T, n_local @ self.axes.T
 
     def sample_grid(self, samples):
         """Midpoint sample grid over the module: (points, normals, cell_area)."""

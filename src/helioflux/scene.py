@@ -17,7 +17,7 @@ Grammar (all angles in degrees, lengths in meters):
     grid_cells = <cells per side, even>            # cells x cells square cells
 
     [heliostat NAME]             # required, one section per heliostat
-    position = <X'>, <Y'>, <Z'>  # required, X' > 0
+    position = <X'>, <Y'>, <Z'>  # required, X' > 0, at most 10 km from the receiver
     width = <m>                  # likewise height, module_width, module_height
     modules_across = <count>     # likewise modules_up
     focal_length = <m>
@@ -309,6 +309,8 @@ def load_config(path):
             parser.read_file(fh, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     except configparser.Error as exc:
         raise ConfigError(f"parse error in {path}: {exc}") from None
 

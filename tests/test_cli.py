@@ -233,6 +233,30 @@ def test_run_removes_written_artifacts_when_a_writer_fails(fast_scene, tmp_path,
     assert not os.listdir(out_dir)
 
 
+def test_cli_reports_a_scene_that_is_not_utf8_in_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.scene"
+    path.write_bytes(FAST_SCENE.encode() + b"# \xff\n")
+    assert main(["run", str(path), "--validate-only"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: ConfigError: cannot read {path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("out, error", [("", "FileNotFoundError"),
+                                        ("taken", "FileExistsError")])
+def test_cli_reports_an_output_directory_it_cannot_create(out, error, fast_scene, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"a regular file\n")
+    assert main(["run", fast_scene, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {error}: ")
+    assert taken.read_bytes() == b"a regular file\n"
+    assert sorted(os.listdir(tmp_path)) == ["fast.scene", "taken"]
+
+
 def test_cli_removes_partial_outputs_on_failure(tmp_path, capsys):
     # a sunshape too wide for the grid trips the kernel aliasing guard
     # mid-run, after some artifacts would have been written

@@ -30,8 +30,7 @@ def analytic_aperture_power(facets, sun, dni=1.0):
     s = hf.sun_vector(sun)
     total = 0.0
     for facet in facets:
-        _, normal = facet.surface(0.0, 0.0)
-        total += facet.area * float(normal @ s) * facet.reflectivity * dni
+        total += facet.area * float(facet.axes[:, 0] @ s) * facet.reflectivity * dni
     return total
 
 

@@ -55,8 +55,8 @@ def test_module_centres_sum_to_zero():
     spec = hf.HeliostatSpec(width=5.0, height=4.2, modules_across=5, modules_up=3,
                             module_width=0.9, module_height=1.3)
     layout = hf.module_centres(spec)
-    assert layout.grid_y.sum() == pytest.approx(0.0, abs=1e-12)
-    assert layout.grid_z.sum() == pytest.approx(0.0, abs=1e-12)
+    assert layout.y.sum() == pytest.approx(0.0, abs=1e-12)
+    assert layout.z.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_heliostat_spec_validation():
@@ -230,7 +230,7 @@ def trace_centre_ray_miss(facets, sun):
     s = hf.sun_vector(sun)
     misses = []
     for facet in facets:
-        point, normal = facet.surface(0.0, 0.0)
+        point, normal = facet.centre, facet.axes[:, 0]
         out = hf.reflect(s, normal)
         t = -point[0] / out[0]
         land = point + t * out
@@ -297,13 +297,14 @@ def test_canting_rotation_order_is_z_then_y():
 def test_facet_surface_normals_and_sag():
     facet = hf.Facet(centre=np.zeros(3), axes=np.eye(3), width=0.7, height=1.4,
                      focal_length=100.0, reflectivity=1.0)
-    points, normals = facet.surface(np.array([0.35, 0.0]), np.array([0.0, 0.7]))
+    points, normals, _ = facet.sample_grid(2)
+    sag, u, v = points.T
     assert np.allclose(np.einsum("ij,ij->i", normals, normals), 1.0, atol=1e-14)
     # normal tilts toward the axis by about offset / (2 f)
-    assert normals[0, 1] == pytest.approx(-0.35 / 200.0, rel=1e-6)
-    assert normals[1, 2] == pytest.approx(-0.7 / 200.0, rel=1e-6)
+    assert normals[:, 1] == pytest.approx(-u / 200.0, rel=1e-6)
+    assert normals[:, 2] == pytest.approx(-v / 200.0, rel=1e-6)
     # the cap sags toward the focus
-    assert points[0, 0] == pytest.approx(0.35 ** 2 / 400.0, rel=1e-3)
+    assert sag == pytest.approx((u ** 2 + v ** 2) / 400.0, rel=1e-3)
 
 
 def test_mirrored_heliostat():

@@ -116,7 +116,7 @@ def test_grt_energy_balance(scene):
                                     dni=scene.dni, surface_samples=scene.surface_samples,
                                     radial_nodes=scene.radial_nodes,
                                     azimuth_nodes=scene.azimuth_nodes)
-            expected = scene.dni * sum(f.area * float(f.surface(0.0, 0.0)[1] @ s)
+            expected = scene.dni * sum(f.area * float(f.axes[:, 0] @ s)
                                        * f.reflectivity for f in facets)
             assert grt.total_power + grt.spilled_power == pytest.approx(expected,
                                                                         rel=1e-4)

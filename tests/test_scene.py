@@ -180,6 +180,11 @@ FILE_ERRORS = {
                         r"unknown section \[heliostats h1\]"),
     "dni_above_2000": (MINIMAL + "\n[run]\ndni = 1e308\n",
                        r"\[run\] dni: 1e\+308 outside \(0, 2000\]"),
+    # squaring 1e200 would overflow; the distance bound fails the scene first
+    "beyond_10_km": (MINIMAL.replace("position = 86.6, 50.0, 0.0",
+                                     "position = 1e200, 50.0, 0.0"),
+                     r"\[heliostat h1\] position: 1e\+200 m from the receiver, "
+                     r"beyond the 10000 m bound"),
 }
 
 
@@ -260,6 +265,10 @@ IN_CODE = {
         c.site, longitude=200.0)), "longitude 200.0 outside"),
     "dni_above_2000": (lambda c: dataclasses.replace(c, dni=2000.0000000000002),
                        r"dni: 2000\.0000000000002 outside"),
+    "beyond_10_km": (lambda c: _replace_heliostat(c, position=(10000.000000000002, 0.0,
+                                                               0.0)),
+                     r"position: 10000\.000000000002 m from the receiver, beyond the "
+                     r"10000 m bound"),
 }
 
 
@@ -273,6 +282,13 @@ def test_dni_bound_is_inclusive(table1_config, tmp_path):
     assert dataclasses.replace(table1_config, dni=2000.0).dni == 2000.0
     body = MINIMAL + "\n[run]\ndni = 2000\n"
     assert hf.load_config(write_scene(tmp_path, body)).dni == 2000.0
+
+
+@pytest.mark.parametrize("position", [(1e4, 0.0, 0.0), (6000.0, 8000.0, 0.0),
+                                      (6000.0, 0.0, -8000.0)])
+def test_heliostat_distance_bound_is_inclusive(position, table1_config):
+    scene = _replace_heliostat(table1_config, position=position)
+    assert scene.heliostats[0].slant_distance == 1e4
 
 
 def test_heliostat_section_name_may_follow_a_tab(tmp_path):
