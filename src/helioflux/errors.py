@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class HelioFluxError(Exception):
     """Base class for every error raised by this package."""
@@ -34,3 +36,9 @@ class ConfigError(HelioFluxError, ValueError):
     read from a file and one built or varied in code with
     ``dataclasses.replace`` obey the same rules and fail the same way.
     """
+
+
+def require_integer(key, value):
+    """A count must be an integer: numpy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key}: {value!r} is not an integer")

@@ -6,7 +6,6 @@ the map peak, rows from the top of the receiver (+z') down.
 """
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .flux import map_stats
@@ -79,7 +78,6 @@ def write_manifest(config, report, path):
         fh.write("# helioflux run manifest\n")
         fh.write(f"version = {__version__}\n")
         fh.write(f"numpy = {np.__version__}\n")
-        fh.write(f"scipy = {scipy.__version__}\n")
         fh.write("\n# effective configuration (defaults included)\n")
         for line in config.echo():
             fh.write(line + "\n")

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 
 from .errors import BacklitMirror, GridMismatch, GridTooSmall, HelioFluxError
 from .receiver import GridSpec
@@ -187,6 +186,19 @@ def geometric_spot(facets, sun, receiver, dni=1.0,
                    spilled_power=spilled)
 
 
+def _fast_length(n):
+    """Smallest m >= n with no prime factor above 11: a fast FFT length."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _convolve_padded(spot, kernel):
     """Spot convolved with the centred kernel, on the spot's own grid.
 
@@ -203,9 +215,9 @@ def _convolve_padded(spot, kernel):
         return values
     box = spot[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     full_shape = [b + k - 1 for b, k in zip(box.shape, kernel.shape)]
-    padded = [scipy.fft.next_fast_len(n) for n in full_shape]
-    spectrum = scipy.fft.rfft2(box, s=padded) * scipy.fft.rfft2(kernel, s=padded)
-    full = scipy.fft.irfft2(spectrum, s=padded)
+    padded = [_fast_length(n) for n in full_shape]
+    spectrum = np.fft.rfft2(box, s=padded) * np.fft.rfft2(kernel, s=padded)
+    full = np.fft.irfft2(spectrum, s=padded)
     # on each axis, index i of the linear result lands on cell start + i - k // 2
     target, source = [], []
     for start, k, length, n in zip((rows[0], cols[0]), kernel.shape, full_shape,

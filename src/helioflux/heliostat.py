@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometry
+from .errors import ConfigError, DegenerateGeometry, require_integer
 from .geometry import bisector_normal, heliostat_frame
 from .sun import sun_vector
 
@@ -55,6 +55,8 @@ class HeliostatSpec:
         if distance > MAX_DISTANCE:
             raise ConfigError(f"position: {distance} m from the receiver, "
                               f"beyond the {MAX_DISTANCE:g} m bound")
+        require_integer("modules_across", self.modules_across)
+        require_integer("modules_up", self.modules_up)
         if not (self.modules_across > 0 and self.modules_up > 0):
             raise ConfigError("module counts must be positive")
         if not (self.module_width > 0.0 and self.module_height > 0.0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integer
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class GridSpec:
     def __post_init__(self):
         if not 0.0 < self.extent < math.inf:
             raise ConfigError(f"grid extent {self.extent} is not positive and finite")
+        require_integer("grid_cells", self.cells)
         if not self.cells > 0:
             raise ConfigError(f"grid cell count {self.cells} is not positive")
         if self.cells % 2:

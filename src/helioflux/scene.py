@@ -63,7 +63,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from importlib import resources
 
-from .errors import ConfigError, DegenerateGeometry
+from .errors import ConfigError, DegenerateGeometry, require_integer
 from .flux import DEFAULT_AZIMUTH_NODES, DEFAULT_RADIAL_NODES, DEFAULT_SURFACE_SAMPLES
 from .heliostat import HeliostatSpec, module_centres
 from .metrics import CASE_TWINS, ENGINES, case_heliostats, frozen_cantings
@@ -119,6 +119,8 @@ class SceneConfig:
         # float range would overflow the ray power
         if not 0.0 < self.dni <= 2000.0:
             raise ConfigError(f"[run] dni: {self.dni!r} outside (0, 2000] W/m^2")
+        for key in ("surface_samples", "radial_nodes", "azimuth_nodes"):
+            require_integer(f"[run] {key}", getattr(self, key))
         grid = self.receiver.grid
         for where, key, value, least in (
                 ("run", "surface_samples", self.surface_samples, 2),

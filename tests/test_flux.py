@@ -1,6 +1,9 @@
 """Flux engines: conservation, engine agreement, map algebra."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -386,6 +389,37 @@ def test_support_convolution_matches_full_grid(case):
     reach[max(r0 - ky // 2, 0):r1 + ky - 1 - ky // 2,
           max(c0 - kz // 2, 0):c1 + kz - 1 - kz // 2] = True
     assert not got[~reach].any()
+
+
+def test_fast_length_matches_scipy_next_fast_len():
+    # the engine pads as scipy does, so the FFT work, and the benchmark tracer's
+    # flux.fft_points, which counts with scipy's function, stay as they were
+    lengths = range(1, 20001)
+    assert [flux._fast_length(n) for n in lengths] == [scipy.fft.next_fast_len(n)
+                                                        for n in lengths]
+
+
+NO_SCIPY_RUN = """
+import dataclasses
+import sys
+import helioflux as hf
+scene = hf.load_config(hf.table1_scene_path())
+scene = hf.with_overrides(scene, engine="conv", grid_cells=64, surface_samples=4)
+hf.day_course(dataclasses.replace(scene, schedule=scene.schedule[2:3], cases=("single",)))
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # a fresh interpreter, since this one has scipy loaded; point it at the
+    # package under test
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_spot_without_power_convolves_to_zero():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import helioflux as hf
@@ -269,6 +270,18 @@ IN_CODE = {
                                                                0.0)),
                      r"position: 10000\.000000000002 m from the receiver, beyond the "
                      r"10000 m bound"),
+    "surface_samples_float": (lambda c: dataclasses.replace(c, surface_samples=4.0),
+                              r"\[run\] surface_samples: 4\.0 is not an integer"),
+    "radial_nodes_fraction": (lambda c: dataclasses.replace(c, radial_nodes=2.5),
+                              r"\[run\] radial_nodes: 2\.5 is not an integer"),
+    "azimuth_nodes_bool": (lambda c: dataclasses.replace(c, azimuth_nodes=True),
+                           r"\[run\] azimuth_nodes: True is not an integer"),
+    "grid_cells_float": (lambda c: _replace_grid(c, cells=64.0),
+                         r"grid_cells: 64\.0 is not an integer"),
+    "modules_across_float": (lambda c: _replace_heliostat(c, modules_across=4.0),
+                             r"modules_across: 4\.0 is not an integer"),
+    "modules_up_bool": (lambda c: _replace_heliostat(c, modules_up=True),
+                        r"modules_up: True is not an integer"),
 }
 
 
@@ -276,6 +289,15 @@ IN_CODE = {
 def test_scene_varied_in_code_meets_the_file_rules(vary, match, table1_config):
     with pytest.raises(ConfigError, match=match):
         vary(table1_config)
+
+
+def test_numpy_integer_counts_build(table1_config):
+    scene = _replace_heliostat(_replace_grid(table1_config, cells=np.int64(64)),
+                               modules_across=np.int32(4), modules_up=np.uint8(2))
+    scene = dataclasses.replace(scene, surface_samples=np.int64(4),
+                                radial_nodes=np.int16(3), azimuth_nodes=np.int64(8))
+    assert (scene.receiver.grid.cells, scene.heliostats[0].modules_across,
+            scene.surface_samples) == (64, 4, 4)
 
 
 def test_dni_bound_is_inclusive(table1_config, tmp_path):
