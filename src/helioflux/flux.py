@@ -56,8 +56,10 @@ class FluxMap:
 
 
 # Rays per chunk of the ray loop: enough to amortise numpy's per-call cost,
-# few enough that a chunk's temporaries stay in cache.  Chunks are whole
-# sample rows, so the one-direction spot path traces a facet in one chunk.
+# few enough that a chunk's temporaries and its deposit stay in cache.
+# Chunks are whole sample rows, so the one-direction spot path traces a facet
+# in one chunk.  On table1's 20 GRT maps, 32 K-128 K rays per chunk time
+# alike (3.4-3.5 s), 16 K takes 3.8 s and 8 K 4.5 s.
 _CHUNK_RAYS = 32768
 
 
@@ -69,88 +71,105 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
     plane count as spill.  A facet back-lit by the central sun direction is
     an error.
 
-    Each facet is traced in chunks of sample rows, working in place, into
-    one flat bin index and one weight per ray, in buffers that all facets
-    share (fresh ones per facet cost page faults).  One ``bincount`` per facet
-    then deposits its rays in ray order; bin ``n * n`` past the n x n grid
-    collects the spill.  Only the flat bins from the lowest one a ray hit
-    (tracked per chunk) to the highest are added to the map, and the spill
-    bin is read only when a ray spilled, so a facet costs what its rays
-    cover, not the whole grid.  Every cell gets the same sums in the same
-    order as a full-grid add.
+    Each facet is traced in chunks of sample rows, working in place in
+    buffers that all chunks and facets share.  A chunk's rays get a flat bin
+    ``n * row + column``, or the spill bin ``n * n`` past the n x n grid,
+    and ``np.add.at`` deposits them into one accumulator while the chunk is
+    still in cache; that adds each bin's rays in ray order, as one
+    ``bincount`` over the facet would.  The lowest and highest bin a facet's
+    rays hit bound what is then added to the map, read for the spill and
+    zeroed again, so a facet costs what its rays cover, not the whole grid,
+    and every cell gets the same sums in the same order as a full-grid add.
     """
     n = grid.cells
-    power = np.zeros(n * n)
+    spill_bin = n * n
+    power = np.zeros(spill_bin)
     spilled = 0.0
     n_samples, n_dirs = surface_samples * surface_samples, len(sun_dirs)
     rows = max(1, _CHUNK_RAYS // n_dirs)
     sx, sy, sz = (np.ascontiguousarray(sun_dirs[:, k]) for k in range(3))
     half, cell = 0.5 * grid.extent, grid.cell_size
-    work = np.empty((4, min(rows, n_samples), n_dirs))
-    flags = np.empty((2, min(rows, n_samples), n_dirs), dtype=bool)
-    bins = np.empty((n_samples, n_dirs), dtype=np.int64)
-    weights = np.empty((n_samples, n_dirs))
-    for facet in facets:
-        points, normals, cell_area = facet.sample_grid(surface_samples)
-        central_cos = (normals[:, 0] * central_sun[0] + normals[:, 1] * central_sun[1]
-                       + normals[:, 2] * central_sun[2])
-        if np.any(central_cos <= 0.0):
-            raise BacklitMirror("facet is back-lit at the current sun position")
+    chunk = (min(rows, n_samples), n_dirs)
+    work = np.empty((4,) + chunk)
+    flags = np.empty((2,) + chunk, dtype=bool)
+    weights = np.empty(chunk)
+    bins = np.empty(chunk, dtype=np.int64)
+    deposit = np.zeros(spill_bin + 1)
+    # numpy buffers a broadcast operand whose rows are shorter than its ufunc
+    # buffer (8192 elements by default): on a 28 x 1152 chunk a (rows, 1) x
+    # (dirs,) product took 40-45 us with that buffer and 11-13 us with a
+    # buffer of one row, and table1's 20 GRT maps 5.7 s against 4.1 s (3.5 s
+    # with the in-cache deposit; 2-core x86-64, numpy 2.4).  Below 64
+    # directions (the spot path has 1) a row-sized buffer makes the inner
+    # loops so short that it costs more than it saves, so the buffer stays.
+    # The values are the same either way.  numpy 1.x keeps the size outside
+    # errstate, so it is restored here.
+    old_bufsize = np.getbufsize()
+    np.setbufsize(n_dirs // 16 * 16 if 64 <= n_dirs < old_bufsize else old_bufsize)
+    try:
+        for facet in facets:
+            points, normals, cell_area = facet.sample_grid(surface_samples)
+            central_cos = (normals[:, 0] * central_sun[0] + normals[:, 1] * central_sun[1]
+                           + normals[:, 2] * central_sun[2])
+            if np.any(central_cos <= 0.0):
+                raise BacklitMirror("facet is back-lit at the current sun position")
 
-        scale = dni * cell_area * facet.reflectivity
-        lo = n * n
-        for start in range(0, n_samples, rows):
-            stop = min(start + rows, n_samples)
-            px, py, pz = (points[start:stop, k, None] for k in range(3))
-            nx, ny, nz = (normals[start:stop, k, None] for k in range(3))
-            cos_i, out_x, out_y, out_z = work[:, :stop - start]
-            on_grid, test = flags[:, :stop - start]
-            weight = weights[start:stop]
+            scale = dni * cell_area * facet.reflectivity
+            lo, hi = spill_bin, 0
+            for start in range(0, n_samples, rows):
+                stop = min(start + rows, n_samples)
+                px, py, pz = (points[start:stop, k, None] for k in range(3))
+                nx, ny, nz = (normals[start:stop, k, None] for k in range(3))
+                cos_i, out_x, out_y, out_z = work[:, :stop - start]
+                on_grid, test = flags[:, :stop - start]
+                weight, flat = weights[:stop - start], bins[:stop - start]
 
-            # cos of incidence per (surface, direction) pair
-            np.multiply(nx, sx, out=cos_i)
-            cos_i += np.multiply(ny, sy, out=out_x)
-            cos_i += np.multiply(nz, sz, out=out_x)
-            # grazing cone directions below the local facet horizon carry no power
-            np.maximum(cos_i, 0.0, out=weight)
-            weight *= scale
-            weight *= dir_weights
-            # outgoing direction R = (2 cos_i) n - S for every pair
-            cos_i *= 2.0
-            np.subtract(np.multiply(cos_i, nx, out=out_x), sx, out=out_x)
-            np.subtract(np.multiply(cos_i, ny, out=out_y), sy, out=out_y)
-            np.subtract(np.multiply(cos_i, nz, out=out_z), sz, out=out_z)
+                # cos of incidence per (surface, direction) pair
+                np.multiply(nx, sx, out=cos_i)
+                cos_i += np.multiply(ny, sy, out=out_x)
+                cos_i += np.multiply(nz, sz, out=out_x)
+                # grazing cone directions below the local facet horizon carry no power
+                np.maximum(cos_i, 0.0, out=weight)
+                weight *= scale
+                weight *= dir_weights
+                # outgoing direction R = (2 cos_i) n - S for every pair
+                cos_i *= 2.0
+                np.subtract(np.multiply(cos_i, nx, out=out_x), sx, out=out_x)
+                np.subtract(np.multiply(cos_i, ny, out=out_y), sy, out=out_y)
+                np.subtract(np.multiply(cos_i, nz, out=out_z), sz, out=out_z)
 
-            # intersection with the receiver plane x' = 0, then the cell
-            # coordinates floor((y + extent/2) / cell) and the flat bin
-            # n * row + column.  Rays travelling away from the plane or
-            # grazing it may reach inf or nan here; the on-grid test rejects
-            # those before any cast.
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                t = np.divide(-px, out_x, out=cos_i)
-                np.less(out_x, 0.0, out=on_grid)
-                for land, p in ((out_y, py), (out_z, pz)):
-                    land *= t
-                    land += p
-                    land += half
-                    land /= cell
-                    np.floor(land, out=land)
-                    on_grid &= np.greater_equal(land, 0.0, out=test)
-                    on_grid &= np.less(land, n, out=test)
-                out_y *= n
-                out_y += out_z
-            # every other ray goes to the spill bin
-            np.copyto(out_y, n * n, where=np.logical_not(on_grid, out=on_grid))
-            lo = min(lo, int(out_y.min()))  # while the chunk is still in cache
-            bins[start:stop] = out_y  # whole numbers, exact below 2**53
+                # intersection with the receiver plane x' = 0, then the cell
+                # coordinates floor((y + extent/2) / cell) and the flat bin
+                # n * row + column.  Rays travelling away from the plane or
+                # grazing it may reach inf or nan here; the on-grid test rejects
+                # those before any cast.
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    t = np.divide(-px, out_x, out=cos_i)
+                    np.less(out_x, 0.0, out=on_grid)
+                    for land, p in ((out_y, py), (out_z, pz)):
+                        land *= t
+                        land += p
+                        land += half
+                        land /= cell
+                        np.floor(land, out=land)
+                        on_grid &= np.greater_equal(land, 0.0, out=test)
+                        on_grid &= np.less(land, n, out=test)
+                    out_y *= n
+                    out_y += out_z
+                # every other ray goes to the spill bin
+                np.copyto(out_y, spill_bin, where=np.logical_not(on_grid, out=on_grid))
+                lo = min(lo, int(out_y.min()))
+                hi = max(hi, int(out_y.max()))
+                flat[...] = out_y  # whole numbers, exact below 2**53
+                np.add.at(deposit, flat.ravel(), weight.ravel())
 
-        # bins past the highest one hit, and the spill bin when no ray
-        # spilled, are not in the bincount at all
-        facet_power = np.bincount(bins.ravel(), weights=weights.ravel())
-        hi = min(len(facet_power), n * n)
-        power[lo:hi] += facet_power[lo:hi]
-        if len(facet_power) > n * n:
-            spilled += float(facet_power[n * n])
+            top = min(hi + 1, spill_bin)
+            power[lo:top] += deposit[lo:top]
+            if hi == spill_bin:
+                spilled += float(deposit[spill_bin])
+            deposit[lo:hi + 1] = 0.0
+    finally:
+        np.setbufsize(old_bufsize)
     return power.reshape(n, n), spilled
 
 

@@ -1,9 +1,11 @@
 """Flux engines: conservation, engine agreement, map algebra."""
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +218,9 @@ TILTS = {"first_bin": (0.0, 0.028, 0.028), "last_bin": (0.0, -0.025, -0.025),
          "no_bin": (0.0, 0.2, 0.0)}
 
 
+SPILL_AND_LAST_BIN = (33, (5, 7), 4.0, 64, "last_bin")
+
+
 @pytest.mark.parametrize("samples, nodes, extent, cells, tilt", [
     # 33^2 sample rows: chunks with a remainder
     pytest.param(33, (6, 12), 4.0, 64, None, id="33-nodes0-4.0-64"),
@@ -230,6 +235,15 @@ TILTS = {"first_bin": (0.0, 0.028, 0.028), "last_bin": (0.0, -0.025, -0.025),
     pytest.param(33, (6, 12), 4.0, 64, "last_bin", id="last_bin-nodes"),
     pytest.param(33, None, 4.0, 64, "last_bin", id="last_bin-None"),
     pytest.param(33, (6, 12), 4.0, 64, "no_bin", id="no_bin-nodes"),
+    # fewer directions than 16, and counts that are no multiple of 16, the
+    # last one with a ufunc buffer shorter than a row; all with chunk
+    # remainders
+    pytest.param(75, (2, 3), 4.0, 64, None, id="75-nodes2x3-4.0-64"),
+    pytest.param(33, (5, 7), 4.0, 64, None, id="33-nodes5x7-4.0-64"),
+    pytest.param(19, (5, 20), 4.0, 64, None, id="19-nodes5x20-4.0-64"),
+    # chunks that hold both spilled rays and rays in the last grid bin, so the
+    # spill bin and bin n * n - 1 are deposited together (see the test below)
+    pytest.param(*SPILL_AND_LAST_BIN, id="spill_and_last_bin-nodes5x7"),
 ])
 def test_chunked_ray_kernel_matches_unchunked_reference(samples, nodes, extent, cells,
                                                         tilt):
@@ -260,6 +274,73 @@ def test_chunked_ray_kernel_matches_unchunked_reference(samples, nodes, extent, 
         assert lands[-1] and not lands[0]
     elif tilt == "no_bin":
         assert not lands.any()
+
+
+def test_a_chunk_holds_spilled_and_last_bin_rays():
+    # the premise of the spill_and_last_bin case above, from the reference
+    # arithmetic: some chunk of sample rows lands rays both in the last grid
+    # bin and off the grid
+    samples, nodes, extent, cells, tilt = SPILL_AND_LAST_BIN
+    sun = hf.SunPosition(azimuth=30.0, elevation=40.0)
+    s = hf.sun_vector(sun)
+    dirs, _ = hf.cone_directions(hf.SunshapeModel(half_angle=2.5e-3), s, *nodes)
+    dirs = dirs + TILTS[tilt]
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    rows = max(1, flux._CHUNK_RAYS // len(dirs))
+    cell = extent / cells
+    both = False
+    for facet in reference_facets(sun=sun):
+        points, normals, _ = facet.sample_grid(samples)
+        cos_i = normals @ dirs.T
+        out = 2.0 * cos_i[:, :, None] * normals[:, None, :] - dirs[None, :, :]
+        t = -points[:, None, 0] / out[:, :, 0]
+        iy = np.floor((points[:, None, 1] + t * out[:, :, 1] + 0.5 * extent) / cell)
+        iz = np.floor((points[:, None, 2] + t * out[:, :, 2] + 0.5 * extent) / cell)
+        on_grid = (out[:, :, 0] < 0.0) & (iy >= 0) & (iy < cells) & (iz >= 0) & (iz < cells)
+        last = on_grid & (iy == cells - 1) & (iz == cells - 1)
+        for start in range(0, samples * samples, rows):
+            chunk = slice(start, start + rows)
+            both |= bool(last[chunk].any() and not on_grid[chunk].all())
+    assert both
+
+
+def test_ray_loop_memory_is_bounded_by_its_chunk():
+    # 96^2 samples x 1152 directions is 10.6 M rays of one facet; per-ray
+    # buffers of the whole facet would take 170 MB
+    facet = reference_facets()[0]
+    facet.sample_grid(96)  # builds the cached facet-local grid outside the count
+    s = hf.sun_vector(hf.SunPosition(azimuth=0.0, elevation=44.63))
+    dirs, weights = hf.cone_directions(hf.SunshapeModel(), s, 24, 48)
+    grid = hf.GridSpec(extent=4.0, cells=256)
+    tracemalloc.start()
+    try:
+        flux._trace_spot([facet], dirs, weights, s, grid, 1.0, 96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_ray_loop_restores_numpy_state():
+    facets = reference_facets()
+    s = hf.sun_vector(hf.SunPosition(azimuth=0.0, elevation=44.63))
+    # 1152 directions: the loop sets the ufunc buffer to their row
+    dirs, weights = hf.cone_directions(hf.SunshapeModel(), s, 24, 48)
+    grid = hf.GridSpec(extent=4.0, cells=64)
+    # a second facet turned away from the sun: the loop raises after tracing
+    # the first
+    backlit = dataclasses.replace(facets[0], axes=-facets[0].axes)
+    with np.errstate(over="raise", under="warn"):
+        bufsize = np.setbufsize(4096)  # numpy 1.x keeps it outside errstate
+        try:
+            errors = np.geterr()
+            flux._trace_spot(facets, dirs, weights, s, grid, 1.0, 8)
+            assert (np.getbufsize(), np.geterr()) == (4096, errors)
+            with pytest.raises(BacklitMirror):
+                flux._trace_spot([facets[0], backlit], dirs, weights, s, grid, 1.0, 8)
+            assert (np.getbufsize(), np.geterr()) == (4096, errors)
+        finally:
+            np.setbufsize(bufsize)
 
 
 # --- convolution engine ---------------------------------------------------------
