@@ -4,8 +4,10 @@ Two independent engines produce maps of irradiance normalized to DNI
 ("suns") on the receiver grid:
 
 * ``trace_flux_grt`` - grid ray tracing: a deterministic double
-  discretization over facet surfaces and the sun cone.  No shift-invariance
-  assumption; this is the reference engine.
+  discretization over facet surfaces and the sun cone.  It makes no
+  shift-invariance assumption, so it is the independent cross-check of the
+  convolution; its default cone quadrature is the coarser discretization of
+  the two.
 * ``convolve_flux`` - the fast path: a point-sun geometric spot convolved
   with the projected sunshape kernel through zero-padded FFTs.
 
@@ -74,17 +76,13 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
     Each facet is traced in chunks of sample rows, working in place in
     buffers that all chunks and facets share.  A chunk's rays get a flat bin
     ``n * row + column``, or the spill bin ``n * n`` past the n x n grid,
-    and ``np.add.at`` deposits them into one accumulator while the chunk is
-    still in cache; that adds each bin's rays in ray order, as one
-    ``bincount`` over the facet would.  The lowest and highest bin a facet's
-    rays hit bound what is then added to the map, read for the spill and
-    zeroed again, so a facet costs what its rays cover, not the whole grid,
-    and every cell gets the same sums in the same order as a full-grid add.
+    and ``np.add.at`` deposits them into the map's own accumulator while the
+    chunk is still in cache.  Each bin, the spill bin included, sums its
+    rays in ray order over all facets, as one ``bincount`` of every facet's
+    rays in facet order would.
     """
     n = grid.cells
-    spill_bin = n * n
-    power = np.zeros(spill_bin)
-    spilled = 0.0
+    power = np.zeros(n * n + 1)
     n_samples, n_dirs = surface_samples * surface_samples, len(sun_dirs)
     rows = max(1, _CHUNK_RAYS // n_dirs)
     sx, sy, sz = (np.ascontiguousarray(sun_dirs[:, k]) for k in range(3))
@@ -94,7 +92,6 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
     flags = np.empty((2,) + chunk, dtype=bool)
     weights = np.empty(chunk)
     bins = np.empty(chunk, dtype=np.int64)
-    deposit = np.zeros(spill_bin + 1)
     # numpy buffers a broadcast operand whose rows are shorter than its ufunc
     # buffer (8192 elements by default): on a 28 x 1152 chunk a (rows, 1) x
     # (dirs,) product took 40-45 us with that buffer and 11-13 us with a
@@ -115,7 +112,6 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
                 raise BacklitMirror("facet is back-lit at the current sun position")
 
             scale = dni * cell_area * facet.reflectivity
-            lo, hi = spill_bin, 0
             for start in range(0, n_samples, rows):
                 stop = min(start + rows, n_samples)
                 px, py, pz = (points[start:stop, k, None] for k in range(3))
@@ -157,20 +153,12 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
                     out_y *= n
                     out_y += out_z
                 # every other ray goes to the spill bin
-                np.copyto(out_y, spill_bin, where=np.logical_not(on_grid, out=on_grid))
-                lo = min(lo, int(out_y.min()))
-                hi = max(hi, int(out_y.max()))
+                np.copyto(out_y, n * n, where=np.logical_not(on_grid, out=on_grid))
                 flat[...] = out_y  # whole numbers, exact below 2**53
-                np.add.at(deposit, flat.ravel(), weight.ravel())
-
-            top = min(hi + 1, spill_bin)
-            power[lo:top] += deposit[lo:top]
-            if hi == spill_bin:
-                spilled += float(deposit[spill_bin])
-            deposit[lo:hi + 1] = 0.0
+                np.add.at(power, flat.ravel(), weight.ravel())
     finally:
         np.setbufsize(old_bufsize)
-    return power.reshape(n, n), spilled
+    return power[:n * n].reshape(n, n), float(power[n * n])
 
 
 def trace_flux_grt(facets, sun, shape, receiver, dni=1.0,

@@ -119,6 +119,8 @@ class SceneConfig:
         # float range would overflow the ray power
         if not 0.0 < self.dni <= 2000.0:
             raise ConfigError(f"[run] dni: {self.dni!r} outside (0, 2000] W/m^2")
+        if "\0" in self.out_dir:
+            raise ConfigError(f"[run] out: {self.out_dir!r} contains a NUL byte")
         for key in ("surface_samples", "radial_nodes", "azimuth_nodes"):
             require_integer(f"[run] {key}", getattr(self, key))
         grid = self.receiver.grid
@@ -225,7 +227,11 @@ def _section(section, items, where=None, required=()):
 
 
 def _file_safe(where, key, name):
-    """A name that becomes part of an output file name holds no path separator."""
+    """A name that becomes part of an output file name holds no path separator
+    and no NUL byte, which no file system accepts in a name."""
+    if "\0" in name:
+        where = where.replace("\0", "\\x00")
+        raise ConfigError(f"[{where}] {key}: {name!r} contains a NUL byte")
     if any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
         raise ConfigError(f"[{where}] {key}: {name!r} contains a path separator")
 

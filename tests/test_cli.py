@@ -172,6 +172,11 @@ BAD_SCENES = {
     "near_receiver": FAST_SCENE.replace("position = 86.6, 50.0, 0.0",
                                         "position = 2.0, 0.5, -1.0"),
     "reflectivity_zero": _with("position = 86.6, 50.0, 0.0", "reflectivity = 0.0"),
+    # a NUL byte in a name that reaches the file system
+    "heliostat_name_nul": FAST_SCENE.replace("[heliostat h1]", "[heliostat h\0" "1]"),
+    "label_nul": FAST_SCENE.replace("hours = 9.0, 12.0",
+                                    "hours = 9.0, 12.0\nlabels = no\0on, late"),
+    "out_nul": FAST_SCENE.replace("out = out", "out = o\0ut"),
 }
 
 

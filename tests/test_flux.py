@@ -177,9 +177,10 @@ def _reference_deposit(y, z, weights, grid):
 
 def _reference_trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni,
                           surface_samples):
-    """The ray loop before chunking: whole-facet arrays, one deposit per facet."""
-    power = np.zeros((grid.cells, grid.cells))
+    """The ray loop before chunking: whole-facet arrays, one deposit of every
+    facet's rays in facet order."""
     spilled = 0.0
+    lands = []
     for facet in facets:
         points, normals, cell_area = facet.sample_grid(surface_samples)
         central_cos = (normals[:, 0] * central_sun[0] + normals[:, 1] * central_sun[1]
@@ -204,16 +205,15 @@ def _reference_trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni,
             weights = np.where(stray, 0.0, weights)
             land_y = np.where(stray, 1e9, land_y)
             land_z = np.where(stray, 1e9, land_z)
-        facet_power, facet_spill = _reference_deposit(land_y.ravel(), land_z.ravel(),
-                                                      weights.ravel(), grid)
-        power += facet_power
-        spilled += facet_spill
-    return power, spilled
+        lands.append((land_y.ravel(), land_z.ravel(), weights.ravel()))
+    power, deposit_spill = _reference_deposit(*(np.concatenate(a) for a in zip(*lands)),
+                                              grid)
+    return power, spilled + deposit_spill
 
 
 # Incoming directions tilted off the sun centre (the back-lit test keeps the
-# centre) so that the flat bins the rays land in start at bin 0, end at bin
-# n * n - 1, or are none at all: the ends of the range the deposit adds.
+# centre) so that rays land in the first grid bin, in the last grid bin, or
+# only in the spill bin.
 TILTS = {"first_bin": (0.0, 0.028, 0.028), "last_bin": (0.0, -0.025, -0.025),
          "no_bin": (0.0, 0.2, 0.0)}
 

@@ -282,6 +282,8 @@ IN_CODE = {
                              r"modules_across: 4\.0 is not an integer"),
     "modules_up_bool": (lambda c: _replace_heliostat(c, modules_up=True),
                         r"modules_up: True is not an integer"),
+    "out_dir_nul": (lambda c: dataclasses.replace(c, out_dir="a\0b"),
+                    r"\[run\] out: 'a\\x00b' contains a NUL byte"),
 }
 
 
