@@ -65,13 +65,14 @@ class FluxMap:
 _CHUNK_RAYS = 32768
 
 
-def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_samples):
+def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_samples):
     """Shared ray loop: every (surface sample, sun direction) pair lands one ray.
 
-    Ray power is dni * dA * reflectivity * cos(local incidence) * direction
-    weight.  Rays that leave the grid or travel away from the receiver
-    plane count as spill.  A facet back-lit by the central sun direction is
-    an error.
+    Ray power is per unit DNI: dA * reflectivity * cos(local incidence) *
+    direction weight.  The caller scales watts figures by DNI; a map in
+    suns never depends on it.  Rays that leave the grid or travel away from
+    the receiver plane count as spill.  A facet back-lit by the central sun
+    direction is an error.
 
     Each facet is traced in chunks of sample rows, working in place in
     buffers that all chunks and facets share.  A chunk's rays get a flat bin
@@ -111,7 +112,7 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni, surface_s
             if np.any(central_cos <= 0.0):
                 raise BacklitMirror("facet is back-lit at the current sun position")
 
-            scale = dni * cell_area * facet.reflectivity
+            scale = cell_area * facet.reflectivity
             for start in range(0, n_samples, rows):
                 stop = min(start + rows, n_samples)
                 px, py, pz = (points[start:stop, k, None] for k in range(3))
@@ -170,11 +171,9 @@ def trace_flux_grt(facets, sun, shape, receiver, dni=1.0,
     grid = receiver.grid
     s = sun_vector(sun)
     dirs, weights = cone_directions(shape, s, radial_nodes, azimuth_nodes)
-    power, spilled = _trace_spot(facets, dirs, weights, s, grid, dni, surface_samples)
-    # dni first: cell_area * dni may underflow to 0 and power / cell_area overflow
-    values = power / dni / grid.cell_area
-    return FluxMap(values=values, grid=grid, dni=dni, engine="grt", sun=sun,
-                   heliostat_ids=tuple(heliostat_ids), spilled_power=spilled)
+    power, spilled = _trace_spot(facets, dirs, weights, s, grid, surface_samples)
+    return FluxMap(values=power / grid.cell_area, grid=grid, dni=dni, engine="grt",
+                   sun=sun, heliostat_ids=tuple(heliostat_ids), spilled_power=dni * spilled)
 
 
 def geometric_spot(facets, sun, receiver, dni=1.0,
@@ -186,11 +185,9 @@ def geometric_spot(facets, sun, receiver, dni=1.0,
     """
     grid = receiver.grid
     s = sun_vector(sun)
-    power, spilled = _trace_spot(facets, s[None, :], np.ones(1), s, grid, dni,
-                                 surface_samples)
-    return FluxMap(values=power / dni / grid.cell_area, grid=grid, dni=dni,
-                   engine="spot", sun=sun, heliostat_ids=tuple(heliostat_ids),
-                   spilled_power=spilled)
+    power, spilled = _trace_spot(facets, s[None, :], np.ones(1), s, grid, surface_samples)
+    return FluxMap(values=power / grid.cell_area, grid=grid, dni=dni, engine="spot",
+                   sun=sun, heliostat_ids=tuple(heliostat_ids), spilled_power=dni * spilled)
 
 
 def _fast_length(n):

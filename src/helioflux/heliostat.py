@@ -65,8 +65,9 @@ class HeliostatSpec:
             raise ConfigError("modules are wider than the heliostat")
         if not self.modules_up * self.module_height <= self.height + 1e-9:
             raise ConfigError("modules are taller than the heliostat")
-        if self.focal_length is not None and not self.focal_length > 0.0:
-            raise ConfigError("focal length must be positive")
+        if self.focal_length is not None and not 0.0 < self.focal_length < math.inf:
+            raise ConfigError("focal length must be positive and finite; "
+                              "a flat facet has focal length None")
         if not 0.0 < self.reflectivity <= 1.0:
             raise ConfigError("reflectivity must be in (0, 1]")
 
@@ -265,7 +266,7 @@ def _local_sample_grid(width, height, focal_length, samples):
     u = (np.arange(samples) + 0.5) * du - 0.5 * width
     v = (np.arange(samples) + 0.5) * dv - 0.5 * height
     uu, vv = (g.ravel() for g in np.meshgrid(u, v, indexing="ij"))
-    if focal_length is None or math.isinf(focal_length):
+    if focal_length is None:
         sag = np.zeros_like(uu)
         n_local = np.stack((np.ones_like(uu), sag, sag), axis=-1)
     else:

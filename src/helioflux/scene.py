@@ -115,8 +115,9 @@ class SceneConfig:
         if self.engine not in ENGINES:
             raise ConfigError(f"[run] engine: {self.engine!r} is not one of "
                               f"{', '.join(ENGINES)}")
-        # a physical bound (the solar constant is 1361 W/m^2): a DNI near the
-        # float range would overflow the ray power
+        # a physical bound (the solar constant is 1361 W/m^2).  Maps are in
+        # suns and traced per unit DNI, so no ray power depends on it; DNI
+        # scales only the watts figures (total and spilled power)
         if not 0.0 < self.dni <= 2000.0:
             raise ConfigError(f"[run] dni: {self.dni!r} outside (0, 2000] W/m^2")
         if "\0" in self.out_dir:
@@ -146,7 +147,8 @@ class SceneConfig:
         for k, entry in enumerate(self.schedule):
             _file_safe("schedule", "labels", entry.label)
             if entry.label in (e.label for e in self.schedule[:k]):
-                raise ConfigError(f"[schedule] duplicate label {entry.label!r}")
+                raise ConfigError(f"[schedule] duplicate label {entry.label!r}; "
+                                  "name the entries with [schedule] labels")
             _above_horizon(f"[schedule] entry {k} ({entry.label}): sun", entry.position)
         _above_horizon("[reference] sun", self.reference)
         members = case_heliostats(self)
@@ -313,14 +315,18 @@ def load_config(path):
                                        inline_comment_prefixes=("#",), strict=True,
                                        interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark, as some Windows editors write, is not text
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     except configparser.Error as exc:
-        raise ConfigError(f"parse error in {path}: {exc}") from None
+        # configparser puts the file, the line number and the line on lines of
+        # their own; the CLI reports one line
+        detail = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"parse error in {path}: {detail}") from None
 
     sections = dict(parser.items())
     sections.pop("DEFAULT", None)

@@ -9,6 +9,7 @@ import pytest
 import helioflux as hf
 from helioflux import fileio
 from helioflux.cli import main, run
+from helioflux.metrics import ENGINES
 
 FAST_SCENE = """
 [sunshape]
@@ -177,6 +178,9 @@ BAD_SCENES = {
     "label_nul": FAST_SCENE.replace("hours = 9.0, 12.0",
                                     "hours = 9.0, 12.0\nlabels = no\0on, late"),
     "out_nul": FAST_SCENE.replace("out = out", "out = o\0ut"),
+    # configparser's own errors span several lines
+    "no_section_header": "stray line\n" + FAST_SCENE,
+    "parsing_error": FAST_SCENE.replace("diameter = 1.2", "diameter 1.2"),
 }
 
 
@@ -199,7 +203,6 @@ NO_POWER_SCENES = {
                                           "reflectivity = 5e-324"), "both"),
     "reflectivity_subnormal_conv": (_with("position = 86.6, 50.0, 0.0",
                                           "reflectivity = 5e-324"), "conv"),
-    "dni_subnormal_conv": (_with("cases = single", "dni = 5e-324"), "conv"),
 }
 
 
@@ -216,6 +219,37 @@ def test_cli_run_without_power_on_the_grid_fails_in_one_line(body, engine, tmp_p
     assert err.startswith("error: HelioFluxError: ")
     assert "no representable power" in err
     assert not os.listdir(out_dir)
+
+
+def test_scene_with_byte_order_mark_echoes_as_the_plain_file(tmp_path, capsys):
+    plain = hf.table1_scene_path()
+    with open(plain, "rb") as fh:
+        text = fh.read()
+    marked = tmp_path / "bom.scene"
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert main(["run", plain, "--validate-only"]) == 0
+    expected = capsys.readouterr()
+    assert main(["run", str(marked), "--validate-only"]) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("engine", ["conv", "both"])
+def test_subnormal_dni_run_matches_the_dni_1_run(engine, tmp_path):
+    # maps are in suns and traced per unit DNI: only the watts figures
+    # (flux CSV headers, the manifest) see the DNI
+    outs = {}
+    for dni in ("1.0", "5e-324"):
+        path = tmp_path / f"dni_{dni}.scene"
+        path.write_text(_with("cases = single", f"dni = {dni}"), encoding="utf-8")
+        outs[dni] = tmp_path / f"out_{dni}"
+        assert main(["run", str(path), "--engine", engine, "--out", str(outs[dni])]) == 0
+    names = sorted(os.listdir(outs["1.0"]))
+    assert names == sorted(os.listdir(outs["5e-324"]))
+    compared = ["concentration.csv"] + [n for n in names if n.endswith(".pgm")]
+    assert len(compared) == 1 + 2 * 2 * len(ENGINES[engine])
+    _, mismatch, errors = filecmp.cmpfiles(outs["1.0"], outs["5e-324"], compared,
+                                           shallow=False)
+    assert (mismatch, errors) == ([], [])
 
 
 def test_run_removes_written_artifacts_when_a_writer_fails(fast_scene, tmp_path,

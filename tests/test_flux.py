@@ -151,12 +151,11 @@ def test_grt_grazing_and_receding_rays_spill_without_warnings():
                      [0.0, 0.6, 0.8], [0.3, 0.0, 0.95], [-0.28, 0.96, 0.0]])
     weights = np.full(len(dirs), 0.2)
     grid = hf.GridSpec(extent=4.0, cells=64)
-    dni = 800.0
-    power, spilled = flux._trace_spot(facets, dirs, weights, dirs[-1], grid, dni, 8)
-    expected = dni * sum(f.area * f.reflectivity
-                         * float(weights @ np.maximum(dirs @ f.axes[:, 0], 0.0))
-                         for f in facets)
-    assert power.sum() == pytest.approx(dni * 0.9 * 0.2, rel=1e-12)
+    power, spilled = flux._trace_spot(facets, dirs, weights, dirs[-1], grid, 8)
+    expected = sum(f.area * f.reflectivity
+                   * float(weights @ np.maximum(dirs @ f.axes[:, 0], 0.0))
+                   for f in facets)
+    assert power.sum() == pytest.approx(0.9 * 0.2, rel=1e-12)
     assert power.sum() + spilled == pytest.approx(expected, rel=1e-12)
 
 
@@ -175,7 +174,7 @@ def _reference_deposit(y, z, weights, grid):
     return power.reshape(n, n), spilled
 
 
-def _reference_trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni,
+def _reference_trace_spot(facets, sun_dirs, dir_weights, central_sun, grid,
                           surface_samples):
     """The ray loop before chunking: whole-facet arrays, one deposit of every
     facet's rays in facet order."""
@@ -193,7 +192,7 @@ def _reference_trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, dni,
         out_x = 2.0 * cos_i * normals[:, None, 0] - sun_dirs[None, :, 0]
         out_y = 2.0 * cos_i * normals[:, None, 1] - sun_dirs[None, :, 1]
         out_z = 2.0 * cos_i * normals[:, None, 2] - sun_dirs[None, :, 2]
-        weights = ((dni * cell_area * facet.reflectivity)
+        weights = ((cell_area * facet.reflectivity)
                    * np.maximum(cos_i, 0.0) * dir_weights[None, :])
         towards = out_x < 0.0
         t = np.where(towards, -points[:, None, 0] / np.where(towards, out_x, -1.0), np.nan)
@@ -260,9 +259,8 @@ def test_chunked_ray_kernel_matches_unchunked_reference(samples, nodes, extent, 
     rows = max(1, flux._CHUNK_RAYS // len(dirs))
     assert nodes is None or (samples * samples > rows and samples * samples % rows)
     grid = hf.GridSpec(extent=extent, cells=cells)
-    power, spilled = flux._trace_spot(facets, dirs, weights, s, grid, 1.0, samples)
-    ref_power, ref_spilled = _reference_trace_spot(facets, dirs, weights, s, grid, 1.0,
-                                                   samples)
+    power, spilled = flux._trace_spot(facets, dirs, weights, s, grid, samples)
+    ref_power, ref_spilled = _reference_trace_spot(facets, dirs, weights, s, grid, samples)
     assert np.array_equal(power, ref_power)
     # the spill bin sums its rays in another order than the reference
     assert spilled == pytest.approx(ref_spilled, rel=1e-12)
@@ -314,7 +312,7 @@ def test_ray_loop_memory_is_bounded_by_its_chunk():
     grid = hf.GridSpec(extent=4.0, cells=256)
     tracemalloc.start()
     try:
-        flux._trace_spot([facet], dirs, weights, s, grid, 1.0, 96)
+        flux._trace_spot([facet], dirs, weights, s, grid, 96)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -334,10 +332,10 @@ def test_ray_loop_restores_numpy_state():
         bufsize = np.setbufsize(4096)  # numpy 1.x keeps it outside errstate
         try:
             errors = np.geterr()
-            flux._trace_spot(facets, dirs, weights, s, grid, 1.0, 8)
+            flux._trace_spot(facets, dirs, weights, s, grid, 8)
             assert (np.getbufsize(), np.geterr()) == (4096, errors)
             with pytest.raises(BacklitMirror):
-                flux._trace_spot([facets[0], backlit], dirs, weights, s, grid, 1.0, 8)
+                flux._trace_spot([facets[0], backlit], dirs, weights, s, grid, 8)
             assert (np.getbufsize(), np.geterr()) == (4096, errors)
         finally:
             np.setbufsize(bufsize)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helioflux as hf
-from helioflux.errors import DegenerateGeometry
+from helioflux.errors import ConfigError, DegenerateGeometry
 from helioflux.heliostat import canting_rotation
 
 REF_SUN = hf.SunPosition(azimuth=0.0, elevation=44.63)
@@ -74,6 +74,9 @@ def test_heliostat_spec_validation():
         hf.HeliostatSpec(module_height=2.0)  # 2 x 2.0 > 3.0
     with pytest.raises(ValueError, match="focal length"):
         hf.HeliostatSpec(focal_length=0.0)
+    # a flat facet has one spelling, None
+    with pytest.raises(ConfigError, match="focal length must be positive and finite"):
+        hf.HeliostatSpec(focal_length=math.inf)
 
 
 # --- spherical canting -------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Energy balance, case composition and determinism on random valid scenes.
+"""Energy balance, case composition, DNI invariance and determinism on random
+valid scenes.
 
 Each example is a scene built in code: one or two heliostats in front of
 the receiver (X' > 0), one sun 10-80 degrees high, either sunshape, on a
@@ -33,20 +34,23 @@ def heliostats(draw, name):
                                                  across * math.sin(bearing), z))
 
 
+def small_scene(heliostat_specs, sun, kind):
+    return hf.SceneConfig(
+        site=hf.SiteSpec(), sunshape=hf.SunshapeModel(kind=kind),
+        receiver=hf.ReceiverSpec(grid=hf.GridSpec(extent=8.0, cells=64)),
+        heliostats=tuple(heliostat_specs),
+        schedule=(hf.ScheduleEntry(label="t00", position=sun),),
+        reference=hf.SunPosition(azimuth=0.0, elevation=44.63),
+        engine="both", surface_samples=4, radial_nodes=2, azimuth_nodes=4)
+
+
 @st.composite
 def scenes(draw):
     count = draw(st.integers(1, 2))
     sun = hf.SunPosition(azimuth=draw(st.floats(-60.0, 60.0)),
                          elevation=draw(st.floats(10.0, 80.0)))
-    return hf.SceneConfig(
-        site=hf.SiteSpec(),
-        sunshape=hf.SunshapeModel(kind=draw(st.sampled_from(("pillbox",
-                                                              "limb_darkened")))),
-        receiver=hf.ReceiverSpec(grid=hf.GridSpec(extent=8.0, cells=64)),
-        heliostats=tuple(draw(heliostats(f"h{k + 1}")) for k in range(count)),
-        schedule=(hf.ScheduleEntry(label="t00", position=sun),),
-        reference=hf.SunPosition(azimuth=0.0, elevation=44.63),
-        engine="both", surface_samples=4, radial_nodes=2, azimuth_nodes=4)
+    kind = draw(st.sampled_from(("pillbox", "limb_darkened")))
+    return small_scene((draw(heliostats(f"h{k + 1}")) for k in range(count)), sun, kind)
 
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
@@ -145,6 +149,40 @@ def test_mirrored_scene_gives_the_y_flipped_map(scene):
         assert np.abs(twin_maps[key].values - flipped).max() <= tol
 
 
+TABLE1_H1 = dict(name="h1", position=(86.6, 50.0, 0.0))
+TABLE1_NOON = small_scene((hf.HeliostatSpec(**TABLE1_H1),),
+                          hf.SunPosition(azimuth=0.0, elevation=44.63), "limb_darkened")
+# the random scenes' 8 m grid catches every ray; on a 1 m grid GRT rays spill
+SPILLING_NOON = dataclasses.replace(TABLE1_NOON, engine="grt", receiver=hf.ReceiverSpec(
+    diameter=0.5, grid=hf.GridSpec(extent=1.0, cells=64)))
+
+
+@PROPERTY
+@given(scenes(), st.floats(0.0, 2000.0, exclude_min=True))
+@example(TABLE1_NOON, 5e-324)
+@example(SPILLING_NOON, 850.0)
+def test_maps_in_suns_do_not_depend_on_dni(scene, dni):
+    # Rays are traced per unit DNI, so a map in suns and every figure read
+    # from maps alone are those of DNI 1; only the watts figures scale.
+    report, maps = hf.day_course(dataclasses.replace(scene, dni=dni), collect_maps=True)
+    unit, unit_maps = hf.day_course(scene, collect_maps=True)
+    assert scene.dni == 1.0 and maps.keys() == unit_maps.keys()
+    spilled = 0.0
+    for key, flux_map in maps.items():
+        assert np.array_equal(flux_map.values, unit_maps[key].values)
+        spilled += unit_maps[key].spilled_power
+        # a pair map adds the spills of its singles, each scaled by DNI
+        assert flux_map.spilled_power == pytest.approx(dni * unit_maps[key].spilled_power,
+                                                       rel=1e-12)
+    for figures, unit_figures in ((report.peak, unit.peak), (report.gain, unit.gain)):
+        assert figures.keys() == unit_figures.keys()
+        for key, values in figures.items():
+            assert np.array_equal(values, unit_figures[key])
+    assert report.engine_rms == unit.engine_rms
+    if scene is SPILLING_NOON:
+        assert spilled > 0.0
+
+
 @st.composite
 def any_heliostat(draw):
     distance = draw(st.floats(2.0, 200.0))
@@ -156,13 +194,11 @@ def any_heliostat(draw):
                           distance * math.sin(height)))
 
 
-TABLE1_H1 = dict(name="h1", position=(86.6, 50.0, 0.0))
-
-
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(any_heliostat(), st.floats(-60.0, 60.0), st.floats(10.0, 80.0),
        st.sampled_from(tuple(ENGINES)), st.floats(0.0, 2000.0))
-# subnormal reflectivity or DNI: every map of the scene is exactly zero
+# subnormal reflectivity: every map of the scene is exactly zero; subnormal
+# DNI: the maps are those of DNI 1 and only the watts figures underflow
 @example(dict(TABLE1_H1, reflectivity=5e-324), 0.0, 44.63, "both", 1.0)
 @example(dict(TABLE1_H1, reflectivity=5e-324), 0.0, 44.63, "conv", 1.0)
 @example(dict(TABLE1_H1, reflectivity=1.0), 0.0, 44.63, "conv", 5e-324)

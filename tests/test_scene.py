@@ -179,6 +179,18 @@ FILE_ERRORS = {
     # a first word that merely starts with "heliostat" defines no heliostat
     "heliostats_typo": (MINIMAL.replace("[heliostat h1]", "[heliostats h1]"),
                         r"unknown section \[heliostats h1\]"),
+    # configparser's own errors, whose messages span lines, name the file and line
+    "no_section_header": ("stray line\n" + MINIMAL,
+                          r"parse error in \S+test\.scene: File contains no section "
+                          r"headers\. file: '\S+test\.scene', line: 1 'stray line\\n'$"),
+    "parsing_error": (MINIMAL.replace("diameter = 1.2", "diameter 1.2"),
+                      r"parse error in \S+test\.scene: .*'\S+test\.scene' \[line +3\]: "
+                      r"'diameter 1\.2\\n'$"),
+    # default labels drop the date, so a seasonal comparison needs labels
+    "times_same_clock": (MINIMAL.replace("hours = 12.0",
+                                         "times = 2022-03-21T12:00; 2022-06-21T12:00"),
+                         r"\[schedule\] duplicate label '12h00'; name the entries "
+                         r"with \[schedule\] labels"),
     "dni_above_2000": (MINIMAL + "\n[run]\ndni = 1e308\n",
                        r"\[run\] dni: 1e\+308 outside \(0, 2000\]"),
     # squaring 1e200 would overflow; the distance bound fails the scene first
