@@ -8,7 +8,8 @@ flux map (CSV and 16-bit graymap) per time/variant/case/engine, the
 concentration report, and a manifest echoing every effective parameter.
 Identical configurations produce bit-identical artifacts.  On failure the
 partial outputs are removed, a single-line ``error: ...`` goes to stderr
-and the exit status is nonzero.
+and the exit status is nonzero.  A reader that closes the echo's pipe early
+is no failure.
 """
 
 import argparse
@@ -83,8 +84,16 @@ def main(argv=None):
         config = with_overrides(config, engine=args.engine, out_dir=args.out,
                                 grid_cells=args.grid, surface_samples=args.samples)
         if args.validate_only:
-            for line in config.echo():
-                print(line)
+            try:
+                for line in config.echo():
+                    print(line)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader closed standard output: it chose to read no
+                # further, which is no failure.  Point the descriptor at
+                # devnull so that the flush at interpreter exit does not
+                # fail again.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 0
         started = time.monotonic()
         written = run(config)

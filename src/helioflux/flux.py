@@ -60,8 +60,9 @@ class FluxMap:
 # Rays per chunk of the ray loop: enough to amortise numpy's per-call cost,
 # few enough that a chunk's temporaries and its deposit stay in cache.
 # Chunks are whole sample rows, so the one-direction spot path traces a facet
-# in one chunk.  On table1's 20 GRT maps, 32 K-128 K rays per chunk time
-# alike (3.4-3.5 s), 16 K takes 3.8 s and 8 K 4.5 s.
+# in one chunk.  On table1's 20 GRT maps (median of 3 runs, 2-core x86-64,
+# numpy 2.4), 32 K rays per chunk take 2.8 s, 64 K 3.0 s, 16 K and 128 K
+# 3.5 s, and 8 K 3.9 s.
 _CHUNK_RAYS = 32768
 
 
@@ -73,6 +74,18 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_sample
     suns never depends on it.  Rays that leave the grid or travel away from
     the receiver plane count as spill.  A facet back-lit by the central sun
     direction is an error.
+
+    Landing points are worked out in receiver-cell units.  Once per facet,
+    each surface sample gets q = -x' / cell, the numerator of its distance
+    to the plane x' = 0, and pc = ((y', z') + extent / 2) / cell, its own
+    cell coordinates.  A ray with outgoing direction R then takes one
+    division, t = q / R_x, and lands in cell floor(t * (R_y, R_z) + pc).
+    On any grid the points may differ in their last bits from the same
+    points worked out in metres, (p + (-x' / R_x) R + extent / 2) / cell,
+    since the additions run in another order and ``/ cell`` may round; a
+    ray that lands within an ulp of a cell edge could then change cells.
+    ``tests/test_flux.py`` holds the cells to that formula on the grids it
+    covers; that no cell moves elsewhere is measured, not guaranteed.
 
     Each facet is traced in chunks of sample rows, working in place in
     buffers that all chunks and facets share.  A chunk's rays get a flat bin
@@ -113,10 +126,18 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_sample
                 raise BacklitMirror("facet is back-lit at the current sun position")
 
             scale = cell_area * facet.reflectivity
+            # per sample, in cell units: q and pc of the docstring (pc over
+            # all three columns: numpy is 2-3x slower on a two-column slice)
+            q = points[:, 0] / -cell
+            pc = points + half
+            pc /= cell
+            normals2 = 2.0 * normals
             for start in range(0, n_samples, rows):
                 stop = min(start + rows, n_samples)
-                px, py, pz = (points[start:stop, k, None] for k in range(3))
+                qx = q[start:stop, None]
+                pcy, pcz = (pc[start:stop, k, None] for k in (1, 2))
                 nx, ny, nz = (normals[start:stop, k, None] for k in range(3))
+                nx2, ny2, nz2 = (normals2[start:stop, k, None] for k in range(3))
                 cos_i, out_x, out_y, out_z = work[:, :stop - start]
                 on_grid, test = flags[:, :stop - start]
                 weight, flat = weights[:stop - start], bins[:stop - start]
@@ -129,25 +150,22 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_sample
                 np.maximum(cos_i, 0.0, out=weight)
                 weight *= scale
                 weight *= dir_weights
-                # outgoing direction R = (2 cos_i) n - S for every pair
-                cos_i *= 2.0
-                np.subtract(np.multiply(cos_i, nx, out=out_x), sx, out=out_x)
-                np.subtract(np.multiply(cos_i, ny, out=out_y), sy, out=out_y)
-                np.subtract(np.multiply(cos_i, nz, out=out_z), sz, out=out_z)
+                # outgoing direction R = cos_i (2 n) - S for every pair
+                np.subtract(np.multiply(cos_i, nx2, out=out_x), sx, out=out_x)
+                np.subtract(np.multiply(cos_i, ny2, out=out_y), sy, out=out_y)
+                np.subtract(np.multiply(cos_i, nz2, out=out_z), sz, out=out_z)
 
-                # intersection with the receiver plane x' = 0, then the cell
-                # coordinates floor((y + extent/2) / cell) and the flat bin
-                # n * row + column.  Rays travelling away from the plane or
-                # grazing it may reach inf or nan here; the on-grid test rejects
-                # those before any cast.
+                # intersection with the receiver plane x' = 0 in cell units,
+                # t = q / R_x, then the cell coordinates floor(t R + pc) and the
+                # flat bin n * row + column.  Rays travelling away from the plane
+                # or grazing it may reach inf or nan here; the on-grid test
+                # rejects those before any cast.
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    t = np.divide(-px, out_x, out=cos_i)
+                    t = np.divide(qx, out_x, out=cos_i)
                     np.less(out_x, 0.0, out=on_grid)
-                    for land, p in ((out_y, py), (out_z, pz)):
+                    for land, p in ((out_y, pcy), (out_z, pcz)):
                         land *= t
                         land += p
-                        land += half
-                        land /= cell
                         np.floor(land, out=land)
                         on_grid &= np.greater_equal(land, 0.0, out=test)
                         on_grid &= np.less(land, n, out=test)

@@ -29,6 +29,12 @@ CANTING_LIMIT = 0.1  # rad; beyond this the small-angle canting formulas are mea
 MAX_DISTANCE = 1e4  # m from the receiver; several times the largest tower field
 
 
+def _require_focal_length(focal_length):
+    if focal_length is not None and not 0.0 < focal_length < math.inf:
+        raise ConfigError("focal length must be positive and finite; "
+                          "a flat facet has focal length None")
+
+
 @dataclass(frozen=True)
 class HeliostatSpec:
     """Heliostat position and facet-grid geometry (meters, world frame)."""
@@ -65,9 +71,7 @@ class HeliostatSpec:
             raise ConfigError("modules are wider than the heliostat")
         if not self.modules_up * self.module_height <= self.height + 1e-9:
             raise ConfigError("modules are taller than the heliostat")
-        if self.focal_length is not None and not 0.0 < self.focal_length < math.inf:
-            raise ConfigError("focal length must be positive and finite; "
-                              "a flat facet has focal length None")
+        _require_focal_length(self.focal_length)
         if not 0.0 < self.reflectivity <= 1.0:
             raise ConfigError("reflectivity must be in (0, 1]")
 
@@ -296,6 +300,9 @@ class Facet:
     height: float
     focal_length: float | None
     reflectivity: float
+
+    def __post_init__(self):
+        _require_focal_length(self.focal_length)
 
     def sample_grid(self, samples):
         """Midpoint sample grid over the module: (points, normals, cell_area)."""

@@ -2,6 +2,8 @@
 
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +49,26 @@ def test_validate_only_prints_echo(fast_scene, capsys):
     out = capsys.readouterr().out
     assert "site.latitude = 45.37" in out
     assert "run.engine = conv" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_validate_only_into_a_closed_pipe_is_no_error(unbuffered, fast_scene):
+    # the reader of the echo closed its end before the first line: as with
+    # `helioflux run SCENE --validate-only | true`, with stdout written line
+    # by line or only at the final flush
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "helioflux", "run", fast_scene,
+                               "--validate-only"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
 
 
 def test_run_writes_expected_artifacts(fast_scene, tmp_path):

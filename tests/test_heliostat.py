@@ -310,6 +310,18 @@ def test_facet_surface_normals_and_sag():
     assert sag == pytest.approx((u ** 2 + v ** 2) / 400.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("focal_length", [math.inf, -math.inf, math.nan, 0.0, -5.0])
+def test_facet_rejects_a_focal_length_that_is_not_positive_and_finite(focal_length):
+    # the spec's one-line error, before any sample grid holds NaN points
+    with pytest.raises(ConfigError) as spec_error:
+        hf.HeliostatSpec(focal_length=focal_length)
+    with pytest.raises(ConfigError) as facet_error:
+        hf.Facet(centre=np.zeros(3), axes=np.eye(3), width=0.7, height=1.4,
+                 focal_length=focal_length, reflectivity=1.0)
+    assert str(facet_error.value) == str(spec_error.value)
+    assert "\n" not in str(facet_error.value)
+
+
 def test_mirrored_heliostat():
     spec = hf.HeliostatSpec(name="h1")
     twin = spec.mirrored()
