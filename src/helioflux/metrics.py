@@ -8,7 +8,7 @@ one-time re-alignment, not a per-time adjustment.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,13 +129,38 @@ def heliostat_maps(scene, h, layout, cantings, sun, engines):
     return maps
 
 
+def mirror_slots(scene):
+    """Schedule index -> index of the entry at the mirrored sun, for flipped twins.
+
+    With the reference sun on the meridian (azimuth 0.0), the X'-mirror
+    twin of a heliostat at sun (az, el) sees the mirror image of that
+    heliostat's whole optical path at (-az, el): its map is the heliostat's
+    map there with Y' reversed.  The day course takes a twin's GRT maps from
+    that flip wherever (-az, el) is exactly the position of a schedule entry
+    (the first such entry); it traces them everywhere else.  Empty when no
+    case adds twins or the engine setting runs no GRT.
+    """
+    if ("grt" not in ENGINES[scene.engine] or scene.reference.azimuth != 0.0
+            or not any(CASE_TWINS[case] for case in scene.cases)):
+        return {}
+    index = {}
+    for j, entry in enumerate(scene.schedule):
+        index.setdefault(entry.position, j)
+    mirrored = (replace(e.position, azimuth=-e.position.azimuth) for e in scene.schedule)
+    return {i: index[p] for i, p in enumerate(mirrored) if p in index}
+
+
 def day_course(scene, collect_maps=False):
     """Simulate the scene's schedule for every variant and case.
 
     Canting sets are computed once per heliostat from the scene reference
     sun and reused across all times.  Per-heliostat maps are computed once
-    per (time, variant, engine) and composed into cases by cell-wise
-    addition, so a pair map is exactly the sum of its singles.
+    per (time, variant, engine), except a mirror twin's GRT maps at the
+    times of ``mirror_slots``: those are its heliostat's GRT maps at the
+    mirrored sun with Y' reversed (traced ahead of their own time when the
+    twin needs them first, and held until their last use).  Maps are
+    composed into cases by cell-wise addition, so a pair map is exactly the
+    sum of the maps of its members.
 
     The schedule, cases and engine are the scene's; run a variant of a
     scene with ``dataclasses.replace`` or ``scene.with_overrides``.  The
@@ -164,11 +189,39 @@ def day_course(scene, collect_maps=False):
         report.peak[(case, variant)] = np.zeros(len(schedule))
         report.intercepted[(case, variant)] = np.zeros(len(schedule))
 
+    flips = mirror_slots(scene)
+    sources = {h.mirrored().name: h for h in scene.heliostats}
+    # a heliostat's GRT maps at slot j serve slot j and every slot flipped from j
+    last_use = {}
+    for i, j in flips.items():
+        last_use[j] = max(last_use.get(j, j), i)
+    held = {}  # (heliostat name, slot) -> its GRT maps there, until their last use
+    conv_only = tuple(eng for eng in engines if eng != "grt")
+
+    def traced(h, slot, which):
+        return heliostat_maps(scene, h, layouts[h.name], report.cantings[h.name],
+                              schedule[slot].position, which)
+
+    def held_grt(h, slot):
+        if (h.name, slot) not in held:
+            held[(h.name, slot)] = traced(h, slot, ("grt",))
+        return held[(h.name, slot)]
+
     for it, entry in enumerate(schedule):
         single = {}  # drops the previous time's maps before computing new ones
         for name, h in report.heliostats.items():
-            single[name] = heliostat_maps(scene, h, layouts[name], report.cantings[name],
-                                          entry.position, engines)
+            if name in sources and it in flips:
+                grt = {key: replace(m, values=m.values[::-1, :], sun=entry.position,
+                                    heliostat_ids=(name,))
+                       for key, m in held_grt(sources[name], flips[it]).items()}
+            elif name not in sources and it in last_use:
+                grt = held_grt(h, it)
+            else:
+                single[name] = traced(h, it, engines)
+                continue
+            single[name] = {**grt, **traced(h, it, conv_only)} if conv_only else grt
+        for key in [key for key in held if last_use[key[1]] == it]:
+            del held[key]
         for case in cases:
             first, *rest = members[case]
             for variant in VARIANTS:

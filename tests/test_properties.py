@@ -2,15 +2,21 @@
 valid scenes.
 
 Each example is a scene built in code: one or two heliostats in front of
-the receiver (X' > 0), one sun 10-80 degrees high, either sunshape, on a
-64-cell grid with small sampling so the module stays fast.  The last
+the receiver (X' > 0), one sun 10-80 degrees high or that sun and its
+mirror image (-azimuth), either sunshape, on a 64-cell grid with small
+sampling so the module stays fast.  With the mirror image in the schedule
+and the reference sun at azimuth 0, the pair case's twin GRT maps are
+flips of their heliostats' maps, so every property that runs a day course
+covers that path too.  The last
 property draws scenes that need not be valid: one heliostat 2-200 m away
 anywhere in front of the receiver, with any reflectivity in [0, 1], any
 DNI up to 2000 and either engine setting.  The examples are derandomized,
 so every run of the suite draws the same scenes.
 """
 
+import collections
 import dataclasses
+import functools
 import math
 import tempfile
 
@@ -19,19 +25,34 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helioflux as hf
+from helioflux import metrics
 from helioflux.cli import run
 from helioflux.errors import ConfigError, HelioFluxError
-from helioflux.metrics import ENGINES, VARIANTS, frozen_cantings
+from helioflux.metrics import ENGINES, VARIANTS, case_heliostats, frozen_cantings
 
 
 @st.composite
-def heliostats(draw, name):
+def heliostats(draw, name, shaped=False):
     distance = draw(st.floats(90.0, 110.0))
     bearing = math.radians(draw(st.floats(-40.0, 40.0)))
     z = draw(st.floats(-5.0, 5.0))
     across = math.sqrt(distance * distance - z * z)
+    shape = {}
+    if shaped:
+        # odd and even module counts, modules that leave gaps, flat or curved
+        modules_across, modules_up = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        module_width, module_height = draw(st.floats(0.3, 1.0)), draw(st.floats(0.3, 1.5))
+        shape = dict(modules_across=modules_across, modules_up=modules_up,
+                     module_width=module_width, module_height=module_height,
+                     width=modules_across * module_width * draw(st.floats(1.0, 1.4)),
+                     height=modules_up * module_height * draw(st.floats(1.0, 1.4)),
+                     focal_length=draw(st.none() | st.floats(80.0, 120.0)))
     return hf.HeliostatSpec(name=name, position=(across * math.cos(bearing),
-                                                 across * math.sin(bearing), z))
+                                                 across * math.sin(bearing), z), **shape)
+
+
+def mirrored(pos):
+    return hf.SunPosition(azimuth=-pos.azimuth, elevation=pos.elevation)
 
 
 def small_scene(heliostat_specs, sun, kind):
@@ -44,32 +65,127 @@ def small_scene(heliostat_specs, sun, kind):
         engine="both", surface_samples=4, radial_nodes=2, azimuth_nodes=4)
 
 
+def with_second_sun(scene, sun):
+    return dataclasses.replace(scene, schedule=scene.schedule + (
+        hf.ScheduleEntry(label="t01", position=sun),))
+
+
 @st.composite
-def scenes(draw):
+def scenes(draw, shaped=False):
     count = draw(st.integers(1, 2))
     sun = hf.SunPosition(azimuth=draw(st.floats(-60.0, 60.0)),
                          elevation=draw(st.floats(10.0, 80.0)))
     kind = draw(st.sampled_from(("pillbox", "limb_darkened")))
-    return small_scene((draw(heliostats(f"h{k + 1}")) for k in range(count)), sun, kind)
+    scene = small_scene([draw(heliostats(f"h{k + 1}", shaped)) for k in range(count)],
+                        sun, kind)
+    return with_second_sun(scene, mirrored(sun)) if draw(st.booleans()) else scene
 
+
+TABLE1_H1 = dict(name="h1", position=(86.6, 50.0, 0.0))
+TABLE1_NOON = small_scene((hf.HeliostatSpec(**TABLE1_H1),),
+                          hf.SunPosition(azimuth=0.0, elevation=44.63), "limb_darkened")
+# the random scenes' 8 m grid catches every ray; on a 1 m grid GRT rays spill
+SPILLING_NOON = dataclasses.replace(TABLE1_NOON, engine="grt", receiver=hf.ReceiverSpec(
+    diameter=0.5, grid=hf.GridSpec(extent=1.0, cells=64)))
+# a morning sun and its afternoon mirror image: the twins' GRT maps are flips
+MORNING = small_scene((hf.HeliostatSpec(**TABLE1_H1),),
+                      hf.SunPosition(azimuth=-30.0, elevation=40.0), "limb_darkened")
+FLIPPED = with_second_sun(MORNING, hf.SunPosition(azimuth=30.0, elevation=40.0))
+# ... and three scenes where no flip applies, so every twin map is traced
+ONE_ULP_OFF = with_second_sun(MORNING, hf.SunPosition(azimuth=math.nextafter(30.0, math.inf),
+                                                      elevation=40.0))
+OFF_MERIDIAN = dataclasses.replace(FLIPPED,
+                                   reference=hf.SunPosition(azimuth=10.0, elevation=44.63))
+NO_PAIR = dataclasses.replace(FLIPPED, cases=("single",))
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 
 
+def flip_source(scene, entry):
+    """Label of the entry whose GRT maps a twin's maps at ``entry`` flip, or None.
+
+    The day course's rule, restated: the reference sun lies on the meridian
+    and the mirror image of the entry's sun is exactly the position of an
+    entry (the first such one).
+    """
+    if scene.reference.azimuth != 0.0:
+        return None
+    return next((e.label for e in scene.schedule if e.position == mirrored(entry.position)),
+                None)
+
+
+def member_sum_maps(scene):
+    """Every case map of ``scene``, summed from its members' maps in member order.
+
+    A member's maps come from a day course of that heliostat alone, which
+    traces them.  A twin's GRT map is instead the flip of its heliostat's map
+    at the entry that ``flip_source`` names, where it names one.
+    """
+    members = case_heliostats(scene)
+    heliostats = {h.name: h for case in scene.cases for h in members[case]}
+    alone = {name: hf.day_course(dataclasses.replace(scene, heliostats=(h,), cases=("single",)),
+                                 collect_maps=True)[1] for name, h in heliostats.items()}
+    twin_of = {h.mirrored().name: h.name for h in scene.heliostats}
+    summed = {}
+    for entry in scene.schedule:
+        source = flip_source(scene, entry)
+        for variant in VARIANTS:
+            for engine in ENGINES[scene.engine]:
+                for case in scene.cases:
+                    parts = []
+                    for h in members[case]:
+                        if engine == "grt" and source is not None and h.name in twin_of:
+                            m = alone[twin_of[h.name]][(source, variant, "single", engine)]
+                            parts.append(dataclasses.replace(
+                                m, values=m.values[::-1, :], sun=entry.position,
+                                heliostat_ids=(h.name,)))
+                        else:
+                            parts.append(alone[h.name][(entry.label, variant, "single", engine)])
+                    summed[(entry.label, variant, case, engine)] = functools.reduce(
+                        hf.map_add, parts)
+    return summed
+
+
+def assert_same_maps(maps, expected):
+    assert maps.keys() == expected.keys()
+    for key, flux_map in maps.items():
+        assert np.array_equal(flux_map.values, expected[key].values), key
+        assert flux_map.spilled_power == expected[key].spilled_power, key
+        assert flux_map.heliostat_ids == expected[key].heliostat_ids, key
+
+
 @PROPERTY
 @given(scenes())
+@example(ONE_ULP_OFF)
+@example(OFF_MERIDIAN)
+@example(dataclasses.replace(FLIPPED, engine="grt"))
 def test_pair_map_is_single_map_plus_twin_maps(scene):
+    # A pair map is the sum of its single-case members and their twins, bit for
+    # bit, where a twin's map is the one the day course uses: the flip of its
+    # heliostat's GRT map at the mirrored sun where the rule applies, its own
+    # trace elsewhere.  test_mirrored_scene_gives_the_y_flipped_map holds the
+    # flip within 1e-12 of peak of the traced twin.
     _, maps = hf.day_course(scene, collect_maps=True)
-    twin_maps = [hf.day_course(dataclasses.replace(scene, heliostats=(h.mirrored(),),
-                                                   cases=("single",)),
-                               collect_maps=True)[1] for h in scene.heliostats]
-    for variant in VARIANTS:
-        for engine in ENGINES["both"]:
-            combined = maps[("t00", variant, "single", engine)]
-            for twin in twin_maps:
-                combined = hf.map_add(combined, twin[("t00", variant, "single", engine)])
-            pair = maps[("t00", variant, "symmetric_pair", engine)]
-            assert np.array_equal(combined.values, pair.values)
+    assert_same_maps(maps, member_sum_maps(scene))
+
+
+@pytest.mark.parametrize("scene, twin_traces", [
+    (FLIPPED, 0), (dataclasses.replace(FLIPPED, engine="grt"), 0),
+    (ONE_ULP_OFF, 4), (OFF_MERIDIAN, 4), (NO_PAIR, 0)])
+def test_a_twin_is_traced_unless_its_grt_maps_are_flips(scene, twin_traces, monkeypatch):
+    traced = []
+    trace = metrics.trace_flux_grt
+
+    def counting(*args, **kwargs):
+        traced.append(kwargs["heliostat_ids"])
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "trace_flux_grt", counting)
+    _, maps = hf.day_course(scene, collect_maps=True)
+    # h1 at both suns in both variants, once each, and the twin where not flipped
+    assert collections.Counter(traced) == collections.Counter(
+        {("h1",): 4, ("h1_mirror",): twin_traces})
+    assert_same_maps(maps, member_sum_maps(scene))
 
 
 @PROPERTY
@@ -104,39 +220,40 @@ def test_conv_total_equals_spot_total(scene):
 @PROPERTY
 @given(scenes())
 def test_grt_energy_balance(scene):
-    # On-grid plus spilled GRT power equals DNI * sum(A cos i rho), with cos i
-    # at each facet centre toward the sun centre.  GRT averages cos i over the
-    # curved facet and the sun cone instead, which moves the sum by a few
-    # parts per million on these scenes (7.1e-6 at worst); rel=1e-4 allows
-    # that and would still catch a lost or doubled sample row.
-    sun = scene.schedule[0].position
-    s = hf.sun_vector(sun)
-    for h in scene.heliostats:
-        layout = hf.module_centres(h)
-        cantings = frozen_cantings(h, layout, scene.reference)
-        for variant in VARIANTS:
-            facets = hf.realize_modules(h, layout, cantings[variant], sun)
-            grt = hf.trace_flux_grt(facets, sun, scene.sunshape, scene.receiver,
-                                    dni=scene.dni, surface_samples=scene.surface_samples,
-                                    radial_nodes=scene.radial_nodes,
-                                    azimuth_nodes=scene.azimuth_nodes)
-            expected = scene.dni * sum(f.area * float(f.axes[:, 0] @ s)
-                                       * f.reflectivity for f in facets)
-            assert grt.total_power + grt.spilled_power == pytest.approx(expected,
-                                                                        rel=1e-4)
+    # On-grid plus spilled power of every GRT case map equals DNI * sum(A cos i
+    # rho) over its members' facets, with cos i at each facet centre toward the
+    # sun centre.  GRT averages cos i over the curved facet and the sun cone
+    # instead, which moves the sum by a few parts per million on these scenes
+    # (7.1e-6 at worst); rel=1e-4 allows that and would still catch a lost or
+    # doubled sample row, or a flipped twin map that lost its spill.
+    _, maps = hf.day_course(scene, collect_maps=True)
+    members = case_heliostats(scene)
+    for entry in scene.schedule:
+        s = hf.sun_vector(entry.position)
+        for case in scene.cases:
+            for variant in VARIANTS:
+                expected = 0.0
+                for h in members[case]:
+                    layout = hf.module_centres(h)
+                    canting = frozen_cantings(h, layout, scene.reference)[variant]
+                    facets = hf.realize_modules(h, layout, canting, entry.position)
+                    expected += scene.dni * sum(f.area * float(f.axes[:, 0] @ s)
+                                                * f.reflectivity for f in facets)
+                grt = maps[(entry.label, variant, case, "grt")]
+                assert grt.total_power + grt.spilled_power == pytest.approx(expected,
+                                                                            rel=1e-4)
 
 
 @PROPERTY
-@given(scenes())
+@given(scenes(shaped=True))
 def test_mirrored_scene_gives_the_y_flipped_map(scene):
     # Mirroring every heliostat across the X'Z' plane and the sun (and the
     # reference sun the cantings are frozen at) to -azimuth mirrors the whole
-    # optical path, so the map is the single map with Y' reversed.
-    def mirrored(pos):
-        return hf.SunPosition(azimuth=-pos.azimuth, elevation=pos.elevation)
-
+    # optical path, so the map is the single map with Y' reversed.  This is
+    # the premise of the day course's flipped twin maps, so it is drawn over
+    # heliostat shapes too, and the twin here is traced, never flipped.
     entry = scene.schedule[0]
-    single = dataclasses.replace(scene, cases=("single",))
+    single = dataclasses.replace(scene, cases=("single",), schedule=(entry,))
     twin = dataclasses.replace(
         single, heliostats=tuple(h.mirrored() for h in scene.heliostats),
         schedule=(dataclasses.replace(entry, position=mirrored(entry.position)),),
@@ -149,18 +266,11 @@ def test_mirrored_scene_gives_the_y_flipped_map(scene):
         assert np.abs(twin_maps[key].values - flipped).max() <= tol
 
 
-TABLE1_H1 = dict(name="h1", position=(86.6, 50.0, 0.0))
-TABLE1_NOON = small_scene((hf.HeliostatSpec(**TABLE1_H1),),
-                          hf.SunPosition(azimuth=0.0, elevation=44.63), "limb_darkened")
-# the random scenes' 8 m grid catches every ray; on a 1 m grid GRT rays spill
-SPILLING_NOON = dataclasses.replace(TABLE1_NOON, engine="grt", receiver=hf.ReceiverSpec(
-    diameter=0.5, grid=hf.GridSpec(extent=1.0, cells=64)))
-
-
 @PROPERTY
 @given(scenes(), st.floats(0.0, 2000.0, exclude_min=True))
 @example(TABLE1_NOON, 5e-324)
 @example(SPILLING_NOON, 850.0)
+@example(FLIPPED, 850.0)
 def test_maps_in_suns_do_not_depend_on_dni(scene, dni):
     # Rays are traced per unit DNI, so a map in suns and every figure read
     # from maps alone are those of DNI 1; only the watts figures scale.
