@@ -135,12 +135,17 @@ def mirror_slots(scene):
     With the reference sun on the meridian (azimuth 0.0), the X'-mirror
     twin of a heliostat at sun (az, el) sees the mirror image of that
     heliostat's whole optical path at (-az, el): its map is the heliostat's
-    map there with Y' reversed.  The day course takes a twin's GRT maps from
-    that flip wherever (-az, el) is exactly the position of a schedule entry
-    (the first such entry); it traces them everywhere else.  Empty when no
-    case adds twins or the engine setting runs no GRT.
+    map there with Y' reversed.  That needs the mirrored sun's cone
+    quadrature to be the mirror image of the sun's, which in general holds
+    only for an even number of azimuth nodes (a twin's node at psi mirrors
+    the heliostat's node at pi - psi), so odd counts get no flips.  The day
+    course takes a twin's GRT maps from that flip wherever (-az, el) is
+    exactly the position of a schedule entry (the first such entry); it
+    traces them everywhere else.  Empty when no case adds twins or the
+    engine setting runs no GRT.
     """
     if ("grt" not in ENGINES[scene.engine] or scene.reference.azimuth != 0.0
+            or scene.azimuth_nodes % 2
             or not any(CASE_TWINS[case] for case in scene.cases)):
         return {}
     index = {}
@@ -157,10 +162,11 @@ def day_course(scene, collect_maps=False):
     sun and reused across all times.  Per-heliostat maps are computed once
     per (time, variant, engine), except a mirror twin's GRT maps at the
     times of ``mirror_slots``: those are its heliostat's GRT maps at the
-    mirrored sun with Y' reversed (traced ahead of their own time when the
-    twin needs them first, and held until their last use).  Maps are
-    composed into cases by cell-wise addition, so a pair map is exactly the
-    sum of the maps of its members.
+    mirrored sun with Y' reversed.  A time and the times at its mirrored sun
+    run back to back, and the heliostat GRT maps their twins flip are held
+    only while they run; the figures and maps are keyed by time, so that
+    order does not change them.  Maps are composed into cases by cell-wise
+    addition, so a pair map is exactly the sum of the maps of its members.
 
     The schedule, cases and engine are the scene's; run a variant of a
     scene with ``dataclasses.replace`` or ``scene.with_overrides``.  The
@@ -191,11 +197,12 @@ def day_course(scene, collect_maps=False):
 
     flips = mirror_slots(scene)
     sources = {h.mirrored().name: h for h in scene.heliostats}
-    # a heliostat's GRT maps at slot j serve slot j and every slot flipped from j
-    last_use = {}
-    for i, j in flips.items():
-        last_use[j] = max(last_use.get(j, j), i)
-    held = {}  # (heliostat name, slot) -> its GRT maps there, until their last use
+    targets = set(flips.values())
+
+    def mirror_group(slot):
+        # the first slot at the slot's sun or at its mirror image
+        return min(flips[slot], flips[flips[slot]]) if slot in flips else slot
+
     conv_only = tuple(eng for eng in engines if eng != "grt")
 
     def traced(h, slot, which):
@@ -207,21 +214,25 @@ def day_course(scene, collect_maps=False):
             held[(h.name, slot)] = traced(h, slot, ("grt",))
         return held[(h.name, slot)]
 
-    for it, entry in enumerate(schedule):
+    # The slots of a mirror group run back to back, so the GRT maps a twin
+    # flips are held only while their group runs.
+    held, group = {}, None
+    for it in sorted(range(len(schedule)), key=mirror_group):
+        if mirror_group(it) != group:
+            held, group = {}, mirror_group(it)
+        entry = schedule[it]
         single = {}  # drops the previous time's maps before computing new ones
         for name, h in report.heliostats.items():
             if name in sources and it in flips:
                 grt = {key: replace(m, values=m.values[::-1, :], sun=entry.position,
                                     heliostat_ids=(name,))
                        for key, m in held_grt(sources[name], flips[it]).items()}
-            elif name not in sources and it in last_use:
+            elif name not in sources and it in targets:
                 grt = held_grt(h, it)
             else:
                 single[name] = traced(h, it, engines)
                 continue
             single[name] = {**grt, **traced(h, it, conv_only)} if conv_only else grt
-        for key in [key for key in held if last_use[key[1]] == it]:
-            del held[key]
         for case in cases:
             first, *rest = members[case]
             for variant in VARIANTS:

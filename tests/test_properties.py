@@ -4,10 +4,11 @@ valid scenes.
 Each example is a scene built in code: one or two heliostats in front of
 the receiver (X' > 0), one sun 10-80 degrees high or that sun and its
 mirror image (-azimuth), either sunshape, on a 64-cell grid with small
-sampling so the module stays fast.  With the mirror image in the schedule
-and the reference sun at azimuth 0, the pair case's twin GRT maps are
-flips of their heliostats' maps, so every property that runs a day course
-covers that path too.  The last
+sampling (odd and even sun-cone azimuth node counts) so the module stays
+fast.  With the mirror image in the schedule, the reference sun at
+azimuth 0 and an even node count, the pair case's twin GRT maps are flips
+of their heliostats' maps, so every property that runs a day course covers
+that path and its fallback to tracing.  The last
 property draws scenes that need not be valid: one heliostat 2-200 m away
 anywhere in front of the receiver, with any reflectivity in [0, 1], any
 DNI up to 2000 and either engine setting.  The examples are derandomized,
@@ -55,14 +56,16 @@ def mirrored(pos):
     return hf.SunPosition(azimuth=-pos.azimuth, elevation=pos.elevation)
 
 
-def small_scene(heliostat_specs, sun, kind):
+def small_scene(heliostat_specs, sun, kind, surface_samples=4, radial_nodes=2,
+                azimuth_nodes=4):
     return hf.SceneConfig(
         site=hf.SiteSpec(), sunshape=hf.SunshapeModel(kind=kind),
         receiver=hf.ReceiverSpec(grid=hf.GridSpec(extent=8.0, cells=64)),
         heliostats=tuple(heliostat_specs),
         schedule=(hf.ScheduleEntry(label="t00", position=sun),),
         reference=hf.SunPosition(azimuth=0.0, elevation=44.63),
-        engine="both", surface_samples=4, radial_nodes=2, azimuth_nodes=4)
+        engine="both", surface_samples=surface_samples, radial_nodes=radial_nodes,
+        azimuth_nodes=azimuth_nodes)
 
 
 def with_second_sun(scene, sun):
@@ -77,8 +80,10 @@ def scenes(draw, shaped=False):
                          elevation=draw(st.floats(10.0, 80.0)))
     kind = draw(st.sampled_from(("pillbox", "limb_darkened")))
     scene = small_scene([draw(heliostats(f"h{k + 1}", shaped)) for k in range(count)],
-                        sun, kind)
-    return with_second_sun(scene, mirrored(sun)) if draw(st.booleans()) else scene
+                        sun, kind, surface_samples=draw(st.integers(2, 5)),
+                        radial_nodes=draw(st.integers(1, 3)),
+                        azimuth_nodes=draw(st.sampled_from((4, 6, 5))))
+    return with_second_sun(scene, mirrored(sun)) if draw(st.sampled_from((True, False))) else scene
 
 
 TABLE1_H1 = dict(name="h1", position=(86.6, 50.0, 0.0))
@@ -91,12 +96,21 @@ SPILLING_NOON = dataclasses.replace(TABLE1_NOON, engine="grt", receiver=hf.Recei
 MORNING = small_scene((hf.HeliostatSpec(**TABLE1_H1),),
                       hf.SunPosition(azimuth=-30.0, elevation=40.0), "limb_darkened")
 FLIPPED = with_second_sun(MORNING, hf.SunPosition(azimuth=30.0, elevation=40.0))
-# ... and three scenes where no flip applies, so every twin map is traced
+# ... and four scenes where no flip applies, so every twin map is traced
 ONE_ULP_OFF = with_second_sun(MORNING, hf.SunPosition(azimuth=math.nextafter(30.0, math.inf),
                                                       elevation=40.0))
 OFF_MERIDIAN = dataclasses.replace(FLIPPED,
                                    reference=hf.SunPosition(azimuth=10.0, elevation=44.63))
+ODD_NODES = dataclasses.replace(FLIPPED, azimuth_nodes=5)
 NO_PAIR = dataclasses.replace(FLIPPED, cases=("single",))
+# the morning sun twice with an unmirrored sun between them, then the
+# afternoon sun: both mornings flip the one afternoon trace, the middle
+# twin is traced
+REPEATED = dataclasses.replace(FLIPPED, schedule=(
+    FLIPPED.schedule[0],
+    hf.ScheduleEntry(label="t01", position=hf.SunPosition(azimuth=10.0, elevation=50.0)),
+    dataclasses.replace(FLIPPED.schedule[0], label="t02"),
+    dataclasses.replace(FLIPPED.schedule[1], label="t03")))
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -104,11 +118,11 @@ PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 def flip_source(scene, entry):
     """Label of the entry whose GRT maps a twin's maps at ``entry`` flip, or None.
 
-    The day course's rule, restated: the reference sun lies on the meridian
-    and the mirror image of the entry's sun is exactly the position of an
-    entry (the first such one).
+    The day course's rule, restated: the reference sun lies on the meridian,
+    the sun cone has an even number of azimuth nodes, and the mirror image of
+    the entry's sun is exactly the position of an entry (the first such one).
     """
-    if scene.reference.azimuth != 0.0:
+    if scene.reference.azimuth != 0.0 or scene.azimuth_nodes % 2:
         return None
     return next((e.label for e in scene.schedule if e.position == mirrored(entry.position)),
                 None)
@@ -158,6 +172,7 @@ def assert_same_maps(maps, expected):
 @given(scenes())
 @example(ONE_ULP_OFF)
 @example(OFF_MERIDIAN)
+@example(ODD_NODES)
 @example(dataclasses.replace(FLIPPED, engine="grt"))
 def test_pair_map_is_single_map_plus_twin_maps(scene):
     # A pair map is the sum of its single-case members and their twins, bit for
@@ -171,7 +186,7 @@ def test_pair_map_is_single_map_plus_twin_maps(scene):
 
 @pytest.mark.parametrize("scene, twin_traces", [
     (FLIPPED, 0), (dataclasses.replace(FLIPPED, engine="grt"), 0),
-    (ONE_ULP_OFF, 4), (OFF_MERIDIAN, 4), (NO_PAIR, 0)])
+    (ONE_ULP_OFF, 4), (OFF_MERIDIAN, 4), (NO_PAIR, 0), (ODD_NODES, 4), (REPEATED, 2)])
 def test_a_twin_is_traced_unless_its_grt_maps_are_flips(scene, twin_traces, monkeypatch):
     traced = []
     trace = metrics.trace_flux_grt
@@ -182,9 +197,9 @@ def test_a_twin_is_traced_unless_its_grt_maps_are_flips(scene, twin_traces, monk
 
     monkeypatch.setattr(metrics, "trace_flux_grt", counting)
     _, maps = hf.day_course(scene, collect_maps=True)
-    # h1 at both suns in both variants, once each, and the twin where not flipped
+    # h1 at every time in both variants, once each, and the twin where not flipped
     assert collections.Counter(traced) == collections.Counter(
-        {("h1",): 4, ("h1_mirror",): twin_traces})
+        {("h1",): 2 * len(scene.schedule), ("h1_mirror",): twin_traces})
     assert_same_maps(maps, member_sum_maps(scene))
 
 
@@ -251,7 +266,15 @@ def test_mirrored_scene_gives_the_y_flipped_map(scene):
     # reference sun the cantings are frozen at) to -azimuth mirrors the whole
     # optical path, so the map is the single map with Y' reversed.  This is
     # the premise of the day course's flipped twin maps, so it is drawn over
-    # heliostat shapes too, and the twin here is traced, never flipped.
+    # heliostat shapes and sampling too, and the twin here is traced, never
+    # flipped.  It holds for GRT with an even number of sun-cone azimuth
+    # nodes.  With an odd number the mirrored sun's nodes are not the mirror
+    # images of the sun's, and the maps differ by far more (0.18 of peak or
+    # more on these draws), which is why the day course traces those twins.
+    # The conv engine's one-direction spot breaks the mirror symmetry when a
+    # ray lands on a cell edge, which an odd surface sample count makes
+    # likely: its conv twins are traced, so conv is held to it only for even
+    # counts.
     entry = scene.schedule[0]
     single = dataclasses.replace(scene, cases=("single",), schedule=(entry,))
     twin = dataclasses.replace(
@@ -261,9 +284,13 @@ def test_mirrored_scene_gives_the_y_flipped_map(scene):
     _, maps = hf.day_course(single, collect_maps=True)
     _, twin_maps = hf.day_course(twin, collect_maps=True)
     for key, flux_map in maps.items():
-        flipped = flux_map.values[::-1, :]
+        engine = key[3]
+        error = np.abs(twin_maps[key].values - flux_map.values[::-1, :]).max()
         tol = 1e-12 * float(flux_map.values.max())
-        assert np.abs(twin_maps[key].values - flipped).max() <= tol
+        if engine == "grt" and scene.azimuth_nodes % 2:
+            assert error > 1e6 * tol
+        elif engine == "grt" or scene.surface_samples % 2 == 0:
+            assert error <= tol
 
 
 @PROPERTY
