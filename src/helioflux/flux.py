@@ -60,10 +60,14 @@ class FluxMap:
 # Rays per chunk of the ray loop: enough to amortise numpy's per-call cost,
 # few enough that a chunk's temporaries and its deposit stay in cache.
 # Chunks are whole sample rows, so the one-direction spot path traces a facet
-# in one chunk.  On table1's 20 GRT maps (median of 3 runs, 2-core x86-64,
-# numpy 2.4), 32 K rays per chunk take 2.8 s, 64 K 3.0 s, 16 K and 128 K
-# 3.5 s, and 8 K 3.9 s.
-_CHUNK_RAYS = 32768
+# in one chunk.  ``metrics.heliostat_maps`` traces two maps at once on two
+# threads, which share the GIL between numpy calls: the longer each call
+# runs, the less they wait for it.  On table1's 10 GRT maps (2-core x86-64,
+# numpy 2.4, medians of 8 runs in two alternating rounds), serial traces take
+# 1.45 s at 16 K rays per chunk, 1.15 s at 32 K, 1.18 s at 64 K and 1.45 s
+# at 128 K; paired traces 1.60, 1.08, 0.93 and 0.97 s.  On one core paired
+# 64 K traces took 1.13 s against 1.09 s for serial 32 K ones.
+_CHUNK_RAYS = 65536
 
 
 def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_samples):

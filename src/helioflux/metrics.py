@@ -8,6 +8,7 @@ one-time re-alignment, not a per-time adjustment.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,21 +111,67 @@ def frozen_cantings(h, layout, reference):
                                          h.slant_distance)}
 
 
+def _on_two_threads(work, first, second):
+    """``{first: work(first), second: work(second)}``, with ``work(second)``
+    on a worker thread while ``work(first)`` runs on the calling thread.
+
+    The worker starts with the caller's numpy error handling and ufunc
+    buffer size, which numpy keeps per thread; the caller's own state is
+    not touched.  An exception in either call propagates once the worker
+    has ended, the calling thread's first.
+    """
+    err, call, bufsize = np.geterr(), np.geterrcall(), np.getbufsize()
+    outcome = {}
+
+    def run():
+        np.seterr(**err)
+        np.seterrcall(call)
+        np.setbufsize(bufsize)
+        try:
+            outcome["value"] = work(second)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, name=f"helioflux-{second}")
+    worker.start()
+    try:
+        value = work(first)
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return {first: value, second: outcome["value"]}
+
+
 def heliostat_maps(scene, h, layout, cantings, sun, engines):
-    """One heliostat's flux maps at ``sun``, keyed (variant, engine)."""
+    """One heliostat's flux maps at ``sun``, keyed (variant, engine).
+
+    The two variants' GRT maps trace at the same time, the off-axis one on
+    a worker thread and the spherical one on the calling thread; numpy
+    releases the GIL inside the ray loop's ufuncs, so the two share the
+    cores.  Each map sums its own rays in the same order as a serial trace,
+    so the maps are bit-identical to one.  Conv maps run serially on the
+    calling thread, and engines without GRT start no thread.
+    """
+    facets = {variant: realize_modules(h, layout, cantings[variant], sun)
+              for variant in VARIANTS}
+
+    def grt(variant):
+        return trace_flux_grt(
+            facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
+            surface_samples=scene.surface_samples,
+            radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
+            heliostat_ids=(h.name,))
+
+    grt_maps = _on_two_threads(grt, *VARIANTS) if "grt" in engines else {}
     maps = {}
     for variant in VARIANTS:
-        facets = realize_modules(h, layout, cantings[variant], sun)
         for eng in engines:
             if eng == "grt":
-                maps[(variant, eng)] = trace_flux_grt(
-                    facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
-                    surface_samples=scene.surface_samples,
-                    radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
-                    heliostat_ids=(h.name,))
+                maps[(variant, eng)] = grt_maps[variant]
             else:
                 maps[(variant, eng)] = convolve_flux(
-                    facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                    facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
                     surface_samples=scene.surface_samples, heliostat_ids=(h.name,))
     return maps
 
@@ -165,8 +212,10 @@ def day_course(scene, collect_maps=False):
     mirrored sun with Y' reversed.  A time and the times at its mirrored sun
     run back to back, and the heliostat GRT maps their twins flip are held
     only while they run; the figures and maps are keyed by time, so that
-    order does not change them.  Maps are composed into cases by cell-wise
-    addition, so a pair map is exactly the sum of the maps of its members.
+    order does not change them.  The two variants' GRT maps of a heliostat
+    trace on two threads (``heliostat_maps``), bit-identical to serial
+    traces.  Maps are composed into cases by cell-wise addition, so a pair
+    map is exactly the sum of the maps of its members.
 
     The schedule, cases and engine are the scene's; run a variant of a
     scene with ``dataclasses.replace`` or ``scene.with_overrides``.  The

@@ -4,13 +4,15 @@ import filecmp
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import helioflux as hf
-from helioflux import fileio
+from helioflux import fileio, metrics
 from helioflux.cli import main, run
+from helioflux.errors import HelioFluxError
 from helioflux.metrics import ENGINES
 
 FAST_SCENE = """
@@ -291,6 +293,51 @@ def test_run_removes_written_artifacts_when_a_writer_fails(fast_scene, tmp_path,
     with pytest.raises(OSError, match="disk full"):
         run(config)
     assert len(calls) == 3
+    assert not os.listdir(out_dir)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_grt_thread_ends_the_run_like_a_serial_failure(failing, fast_scene,
+                                                                 tmp_path, monkeypatch,
+                                                                 capsys):
+    # heliostat_maps traces one variant's GRT map on a worker thread while
+    # the calling thread traces the other, both with the caller's numpy
+    # state; an error on either leaves it once both have ended, with the
+    # caller's state as it was
+    error = HelioFluxError("trace failed")
+    trace = metrics.trace_flux_grt
+    seen = []
+
+    def failing_trace(*args, **kwargs):
+        seen.append((np.getbufsize(), np.geterr()))
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (failing == "worker"):
+            raise error
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "trace_flux_grt", failing_trace)
+    config = hf.with_overrides(hf.load_config(fast_scene), engine="both")
+    h = config.heliostats[0]
+    layout = hf.module_centres(h)
+    cantings = metrics.frozen_cantings(h, layout, config.reference)
+    threads = threading.active_count()
+    with np.errstate(over="raise", under="warn"):
+        bufsize = np.setbufsize(4096)
+        try:
+            state = (np.getbufsize(), np.geterr())
+            with pytest.raises(HelioFluxError) as raised:
+                metrics.heliostat_maps(config, h, layout, cantings,
+                                       config.schedule[0].position, ("grt", "conv"))
+            assert raised.value is error
+            assert threading.active_count() == threads
+            assert (np.getbufsize(), np.geterr()) == state
+            assert seen == [state, state]
+        finally:
+            np.setbufsize(bufsize)
+    out_dir = tmp_path / "partial"
+    assert main(["run", fast_scene, "--engine", "both", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: HelioFluxError: trace failed\n"
+    assert threading.active_count() == threads
     assert not os.listdir(out_dir)
 
 

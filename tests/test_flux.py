@@ -217,7 +217,7 @@ TILTS = {"first_bin": (0.0, 0.028, 0.028), "last_bin": (0.0, -0.025, -0.025),
          "no_bin": (0.0, 0.2, 0.0)}
 
 
-SPILL_AND_LAST_BIN = (33, (5, 7), 4.0, 64, "last_bin")
+SPILL_AND_LAST_BIN = (45, (5, 7), 4.0, 64, "last_bin")
 
 
 @pytest.mark.parametrize("samples, nodes, extent, cells, tilt", [
@@ -237,9 +237,9 @@ SPILL_AND_LAST_BIN = (33, (5, 7), 4.0, 64, "last_bin")
     # fewer directions than 16, and counts that are no multiple of 16, the
     # last one with a ufunc buffer shorter than a row; all with chunk
     # remainders
-    pytest.param(75, (2, 3), 4.0, 64, None, id="75-nodes2x3-4.0-64"),
-    pytest.param(33, (5, 7), 4.0, 64, None, id="33-nodes5x7-4.0-64"),
-    pytest.param(19, (5, 20), 4.0, 64, None, id="19-nodes5x20-4.0-64"),
+    pytest.param(110, (2, 3), 4.0, 64, None, id="110-nodes2x3-4.0-64"),
+    pytest.param(45, (5, 7), 4.0, 64, None, id="45-nodes5x7-4.0-64"),
+    pytest.param(27, (5, 20), 4.0, 64, None, id="27-nodes5x20-4.0-64"),
     # chunks that hold both spilled rays and rays in the last grid bin, so the
     # spill bin and bin n * n - 1 are deposited together (see the test below)
     pytest.param(*SPILL_AND_LAST_BIN, id="spill_and_last_bin-nodes5x7"),
@@ -291,6 +291,7 @@ def test_a_chunk_holds_spilled_and_last_bin_rays():
     dirs = dirs + TILTS[tilt]
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     rows = max(1, flux._CHUNK_RAYS // len(dirs))
+    assert samples * samples > rows  # a facet spans more than one chunk
     cell = extent / cells
     both = False
     for facet in reference_facets(sun=sun):

@@ -19,6 +19,7 @@ import collections
 import dataclasses
 import functools
 import math
+import sys
 import tempfile
 
 import numpy as np
@@ -213,6 +214,42 @@ def test_day_course_is_bit_identical_when_repeated(scene):
         assert np.array_equal(flux_map.values, second_maps[key].values)
     for key, peaks in first.peak.items():
         assert np.array_equal(peaks, second.peak[key])
+
+
+@PROPERTY
+@given(scenes())
+@example(SPILLING_NOON)
+# 12^2 samples x 1152 directions: three chunks a facet, eight facets
+@example(dataclasses.replace(TABLE1_NOON, surface_samples=12, radial_nodes=24,
+                             azimuth_nodes=48))
+def test_paired_grt_maps_equal_serial_traces(scene):
+    # heliostat_maps traces the two variants' GRT maps on two threads.  Each
+    # map must equal its own serial trace bit for bit however the threads
+    # interleave, so they switch as often as the interpreter lets them.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for h in scene.heliostats:
+            layout = hf.module_centres(h)
+            cantings = frozen_cantings(h, layout, scene.reference)
+            for entry in scene.schedule:
+                sun = entry.position
+                maps = metrics.heliostat_maps(scene, h, layout, cantings, sun,
+                                              ENGINES[scene.engine])
+                for variant in VARIANTS:
+                    facets = hf.realize_modules(h, layout, cantings[variant], sun)
+                    serial = {"grt": hf.trace_flux_grt(
+                        facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                        surface_samples=scene.surface_samples,
+                        radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
+                        heliostat_ids=(h.name,))}
+                    if "conv" in ENGINES[scene.engine]:
+                        serial["conv"] = hf.convolve_flux(
+                            facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                            surface_samples=scene.surface_samples, heliostat_ids=(h.name,))
+                    assert_same_maps({eng: maps[(variant, eng)] for eng in serial}, serial)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @PROPERTY
