@@ -60,7 +60,7 @@ class FluxMap:
 # Rays per chunk of the ray loop: enough to amortise numpy's per-call cost,
 # few enough that a chunk's temporaries and its deposit stay in cache.
 # Chunks are whole sample rows, so the one-direction spot path traces a facet
-# in one chunk.  ``metrics.heliostat_maps`` traces two maps at once on two
+# in one chunk.  ``metrics.grt_pair`` traces two maps at once on two
 # threads, which share the GIL between numpy calls: the longer each call
 # runs, the less they wait for it.  On table1's 10 GRT maps (2-core x86-64,
 # numpy 2.4, medians of 8 runs in two alternating rounds), serial traces take

@@ -143,19 +143,16 @@ def _on_two_threads(work, first, second):
     return {first: value, second: outcome["value"]}
 
 
-def heliostat_maps(scene, h, layout, cantings, sun, engines):
-    """One heliostat's flux maps at ``sun``, keyed (variant, engine).
+def grt_pair(scene, h, facets, sun):
+    """One heliostat's GRT maps at ``sun``, keyed by variant, from its
+    realized ``facets`` per variant.
 
-    The two variants' GRT maps trace at the same time, the off-axis one on
-    a worker thread and the spherical one on the calling thread; numpy
-    releases the GIL inside the ray loop's ufuncs, so the two share the
-    cores.  Each map sums its own rays in the same order as a serial trace,
-    so the maps are bit-identical to one.  Conv maps run serially on the
-    calling thread, and engines without GRT start no thread.
+    The off-axis map traces on a worker thread while the spherical one
+    traces on the calling thread; numpy releases the GIL inside the ray
+    loop's ufuncs, so the two share the cores.  Each map sums its own rays
+    in the same order as a serial trace, so the maps are bit-identical to
+    serial ones.
     """
-    facets = {variant: realize_modules(h, layout, cantings[variant], sun)
-              for variant in VARIANTS}
-
     def grt(variant):
         return trace_flux_grt(
             facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
@@ -163,17 +160,7 @@ def heliostat_maps(scene, h, layout, cantings, sun, engines):
             radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
             heliostat_ids=(h.name,))
 
-    grt_maps = _on_two_threads(grt, *VARIANTS) if "grt" in engines else {}
-    maps = {}
-    for variant in VARIANTS:
-        for eng in engines:
-            if eng == "grt":
-                maps[(variant, eng)] = grt_maps[variant]
-            else:
-                maps[(variant, eng)] = convolve_flux(
-                    facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
-                    surface_samples=scene.surface_samples, heliostat_ids=(h.name,))
-    return maps
+    return _on_two_threads(grt, *VARIANTS)
 
 
 def mirror_slots(scene):
@@ -206,16 +193,16 @@ def day_course(scene, collect_maps=False):
     """Simulate the scene's schedule for every variant and case.
 
     Canting sets are computed once per heliostat from the scene reference
-    sun and reused across all times.  Per-heliostat maps are computed once
-    per (time, variant, engine), except a mirror twin's GRT maps at the
-    times of ``mirror_slots``: those are its heliostat's GRT maps at the
-    mirrored sun with Y' reversed.  A time and the times at its mirrored sun
-    run back to back, and the heliostat GRT maps their twins flip are held
+    sun and reused across all times.  Each heliostat's facets are realized
+    once per (time, variant); its conv maps are convolved from them, and its
+    GRT maps are traced from them as a pair on two threads (``grt_pair``),
+    bit-identical to serial traces.  A mirror twin's GRT maps at the times
+    of ``mirror_slots`` are instead its heliostat's pair at the mirrored sun
+    with Y' reversed.  A time and the times at its mirrored sun run back to
+    back, and the facets and GRT pairs realized and traced at them are held
     only while they run; the figures and maps are keyed by time, so that
-    order does not change them.  The two variants' GRT maps of a heliostat
-    trace on two threads (``heliostat_maps``), bit-identical to serial
-    traces.  Maps are composed into cases by cell-wise addition, so a pair
-    map is exactly the sum of the maps of its members.
+    order does not change them.  Maps are composed into cases by cell-wise
+    addition, so a pair map is exactly the sum of the maps of its members.
 
     The schedule, cases and engine are the scene's; run a variant of a
     scene with ``dataclasses.replace`` or ``scene.with_overrides``.  The
@@ -244,44 +231,49 @@ def day_course(scene, collect_maps=False):
         report.peak[(case, variant)] = np.zeros(len(schedule))
         report.intercepted[(case, variant)] = np.zeros(len(schedule))
 
-    flips = mirror_slots(scene)
-    sources = {h.mirrored().name: h for h in scene.heliostats}
-    targets = set(flips.values())
+    mirror = mirror_slots(scene)
+    # (twin name, slot) -> (its heliostat, the slot at the mirrored sun): the
+    # twin's GRT maps there are that heliostat's maps with Y' reversed
+    flipped = {(h.mirrored().name, slot): (h, source) for h in scene.heliostats
+               for slot, source in mirror.items()}
 
     def mirror_group(slot):
         # the first slot at the slot's sun or at its mirror image
-        return min(flips[slot], flips[flips[slot]]) if slot in flips else slot
+        return min(mirror[slot], mirror[mirror[slot]]) if slot in mirror else slot
 
-    conv_only = tuple(eng for eng in engines if eng != "grt")
+    def realized(h, slot):
+        if (h.name, slot) not in facets:
+            facets[(h.name, slot)] = {
+                variant: realize_modules(h, layouts[h.name], report.cantings[h.name][variant],
+                                         schedule[slot].position) for variant in VARIANTS}
+        return facets[(h.name, slot)]
 
-    def traced(h, slot, which):
-        return heliostat_maps(scene, h, layouts[h.name], report.cantings[h.name],
-                              schedule[slot].position, which)
+    def traced(h, slot):
+        if (h.name, slot) not in pairs:
+            pairs[(h.name, slot)] = grt_pair(scene, h, realized(h, slot),
+                                             schedule[slot].position)
+        return pairs[(h.name, slot)]
 
-    def held_grt(h, slot):
-        if (h.name, slot) not in held:
-            held[(h.name, slot)] = traced(h, slot, ("grt",))
-        return held[(h.name, slot)]
-
-    # The slots of a mirror group run back to back, so the GRT maps a twin
-    # flips are held only while their group runs.
-    held, group = {}, None
+    # The slots of a mirror group run back to back, so the facets and GRT
+    # maps of a (heliostat, slot) are held only while their group runs.
+    facets, pairs, group = {}, {}, None
     for it in sorted(range(len(schedule)), key=mirror_group):
         if mirror_group(it) != group:
-            held, group = {}, mirror_group(it)
+            facets, pairs, group = {}, {}, mirror_group(it)
         entry = schedule[it]
         single = {}  # drops the previous time's maps before computing new ones
         for name, h in report.heliostats.items():
-            if name in sources and it in flips:
-                grt = {key: replace(m, values=m.values[::-1, :], sun=entry.position,
-                                    heliostat_ids=(name,))
-                       for key, m in held_grt(sources[name], flips[it]).items()}
-            elif name not in sources and it in targets:
-                grt = held_grt(h, it)
-            else:
-                single[name] = traced(h, it, engines)
-                continue
-            single[name] = {**grt, **traced(h, it, conv_only)} if conv_only else grt
+            own = single[name] = {}
+            if "grt" in engines:
+                source, slot = flipped.get((name, it), (h, it))
+                for variant, m in traced(source, slot).items():
+                    own[(variant, "grt")] = m if source is h else replace(
+                        m, values=m.values[::-1, :], sun=entry.position, heliostat_ids=(name,))
+            if "conv" in engines:
+                for variant, f in realized(h, it).items():
+                    own[(variant, "conv")] = convolve_flux(
+                        f, entry.position, scene.sunshape, scene.receiver, dni=scene.dni,
+                        surface_samples=scene.surface_samples, heliostat_ids=(name,))
         for case in cases:
             first, *rest = members[case]
             for variant in VARIANTS:

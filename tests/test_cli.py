@@ -300,7 +300,7 @@ def test_run_removes_written_artifacts_when_a_writer_fails(fast_scene, tmp_path,
 def test_a_failing_grt_thread_ends_the_run_like_a_serial_failure(failing, fast_scene,
                                                                  tmp_path, monkeypatch,
                                                                  capsys):
-    # heliostat_maps traces one variant's GRT map on a worker thread while
+    # grt_pair traces one variant's GRT map on a worker thread while
     # the calling thread traces the other, both with the caller's numpy
     # state; an error on either leaves it once both have ended, with the
     # caller's state as it was
@@ -320,14 +320,16 @@ def test_a_failing_grt_thread_ends_the_run_like_a_serial_failure(failing, fast_s
     h = config.heliostats[0]
     layout = hf.module_centres(h)
     cantings = metrics.frozen_cantings(h, layout, config.reference)
+    sun = config.schedule[0].position
+    facets = {variant: hf.realize_modules(h, layout, cantings[variant], sun)
+              for variant in metrics.VARIANTS}
     threads = threading.active_count()
     with np.errstate(over="raise", under="warn"):
         bufsize = np.setbufsize(4096)
         try:
             state = (np.getbufsize(), np.geterr())
             with pytest.raises(HelioFluxError) as raised:
-                metrics.heliostat_maps(config, h, layout, cantings,
-                                       config.schedule[0].position, ("grt", "conv"))
+                metrics.grt_pair(config, h, facets, sun)
             assert raised.value is error
             assert threading.active_count() == threads
             assert (np.getbufsize(), np.geterr()) == state

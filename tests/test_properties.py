@@ -223,33 +223,95 @@ def test_day_course_is_bit_identical_when_repeated(scene):
 @example(dataclasses.replace(TABLE1_NOON, surface_samples=12, radial_nodes=24,
                              azimuth_nodes=48))
 def test_paired_grt_maps_equal_serial_traces(scene):
-    # heliostat_maps traces the two variants' GRT maps on two threads.  Each
+    # grt_pair traces the two variants' GRT maps on two threads.  Each
     # map must equal its own serial trace bit for bit however the threads
     # interleave, so they switch as often as the interpreter lets them.
+    # The day course builds conv maps serially from the facets it traces
+    # the GRT pair from: each single-case conv map equals a serial
+    # convolve_flux of those facets.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for h in scene.heliostats:
             layout = hf.module_centres(h)
             cantings = frozen_cantings(h, layout, scene.reference)
+            _, maps = hf.day_course(dataclasses.replace(scene, heliostats=(h,),
+                                                        cases=("single",)), collect_maps=True)
             for entry in scene.schedule:
                 sun = entry.position
-                maps = metrics.heliostat_maps(scene, h, layout, cantings, sun,
-                                              ENGINES[scene.engine])
+                facets = {variant: hf.realize_modules(h, layout, cantings[variant], sun)
+                          for variant in VARIANTS}
+                paired = metrics.grt_pair(scene, h, facets, sun)
                 for variant in VARIANTS:
-                    facets = hf.realize_modules(h, layout, cantings[variant], sun)
                     serial = {"grt": hf.trace_flux_grt(
-                        facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                        facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
                         surface_samples=scene.surface_samples,
                         radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
                         heliostat_ids=(h.name,))}
+                    got = {"grt": paired[variant]}
                     if "conv" in ENGINES[scene.engine]:
                         serial["conv"] = hf.convolve_flux(
-                            facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                            facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
                             surface_samples=scene.surface_samples, heliostat_ids=(h.name,))
-                    assert_same_maps({eng: maps[(variant, eng)] for eng in serial}, serial)
+                        got["conv"] = maps[(entry.label, variant, "single", "conv")]
+                    assert_same_maps(got, serial)
     finally:
         sys.setswitchinterval(interval)
+
+
+def realizations(monkeypatch):
+    """Every ``metrics.realize_modules`` call from now on, as (heliostat name,
+    sun, canting, facets)."""
+    calls = []
+    realize = metrics.realize_modules
+
+    def recording(spec, layout, canting, sun):
+        facets = realize(spec, layout, canting, sun)
+        calls.append((spec.name, sun, canting, facets))
+        return facets
+
+    monkeypatch.setattr(metrics, "realize_modules", recording)
+    return calls
+
+
+# table1's heliostat and its twin over the five hours, sampled coarsely: a
+# day course realizes them once per (heliostat, slot, variant), 20 times
+TABLE1_DAY = dataclasses.replace(hf.load_config(hf.table1_scene_path()), surface_samples=2,
+                                 radial_nodes=1, azimuth_nodes=4)
+
+
+@pytest.mark.parametrize("scene", [TABLE1_DAY, FLIPPED, REPEATED, ODD_NODES,
+                                   dataclasses.replace(FLIPPED, engine="conv")])
+def test_a_day_course_realizes_each_heliostat_once_per_slot_and_variant(scene, monkeypatch):
+    # A heliostat whose GRT maps a twin flips is realized once for its GRT
+    # pair, its conv maps and the twin's flip alike
+    calls = realizations(monkeypatch)
+    report = hf.day_course(scene)
+    assert collections.Counter((name, sun, id(canting)) for name, sun, canting, _ in calls) == \
+        collections.Counter((name, entry.position, id(report.cantings[name][variant]))
+                            for name in report.heliostats for entry in scene.schedule
+                            for variant in VARIANTS)
+
+
+@PROPERTY
+@given(scenes(shaped=True))
+def test_both_variants_realize_the_same_facet_centres(scene):
+    # The canting only rotates a facet's axes, so at every slot the day
+    # course's spherical and off-axis facets of a heliostat have bit-identical
+    # centres, and convolve_flux builds both variants' kernels at the same
+    # mean centre.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = realizations(monkeypatch)
+        report = hf.day_course(scene)
+    centres = collections.defaultdict(list)
+    for name, sun, canting, facets in calls:
+        variant = next(v for v in VARIANTS if report.cantings[name][v] is canting)
+        centres[(name, sun)].append((variant, np.array([f.centre for f in facets])))
+    assert centres
+    for realized in centres.values():
+        assert {variant for variant, _ in realized} == set(VARIANTS)
+        first = realized[0][1]
+        assert all(np.array_equal(c, first) for _, c in realized)
 
 
 @PROPERTY
