@@ -7,8 +7,9 @@ the one computed for the reference sun; the off-axis optimization is a
 one-time re-alignment, not a per-time adjustment.
 """
 
+import functools
+import itertools
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +44,7 @@ def concentration_ratio(flux_map):
 
 def intercepted_power(flux_map, diameter):
     """Fraction of the on-grid power inside the centred disc of ``diameter``."""
-    if diameter <= 0.0:
+    if not diameter > 0.0:
         raise ValueError("aperture diameter must be positive")
     r2 = flux_map.grid.centres() ** 2
     inside = r2[:, None] + r2[None, :] <= (0.5 * diameter) ** 2
@@ -111,48 +112,29 @@ def frozen_cantings(h, layout, reference):
                                          h.slant_distance)}
 
 
-def _on_two_threads(work, first, second):
-    """``{first: work(first), second: work(second)}``, with ``work(second)``
-    on a worker thread while ``work(first)`` runs on the calling thread.
-
-    The worker starts with the caller's numpy error handling and ufunc
-    buffer size, which numpy keeps per thread; the caller's own state is
-    not touched.  An exception in either call propagates once the worker
-    has ended, the calling thread's first.
-    """
-    err, call, bufsize = np.geterr(), np.geterrcall(), np.getbufsize()
-    outcome = {}
-
-    def run():
-        np.seterr(**err)
-        np.seterrcall(call)
-        np.setbufsize(bufsize)
-        try:
-            outcome["value"] = work(second)
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=run, name=f"helioflux-{second}")
-    worker.start()
-    try:
-        value = work(first)
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return {first: value, second: outcome["value"]}
-
-
 def grt_pair(scene, h, facets, sun):
     """One heliostat's GRT maps at ``sun``, keyed by variant, from its
     realized ``facets`` per variant.
 
-    The off-axis map traces on a worker thread while the spherical one
-    traces on the calling thread; numpy releases the GIL inside the ray
-    loop's ufuncs, so the two share the cores.  Each map sums its own rays
-    in the same order as a serial trace, so the maps are bit-identical to
-    serial ones.
+    The off-axis map traces on a one-worker executor's thread while the
+    spherical one traces on the calling thread; numpy releases the GIL
+    inside the ray loop's ufuncs, so the two share the cores.  Each map
+    sums its own rays in the same order as a serial trace, so the maps are
+    bit-identical to serial ones.  The worker starts with the caller's
+    numpy error handling and ufunc buffer size, which numpy keeps per
+    thread; the caller's own state is not touched.  An error in either
+    call propagates once the worker has ended, the calling thread's first.
     """
+    # imported here: concurrent.futures imports logging, which slows importing helioflux
+    from concurrent.futures import ThreadPoolExecutor
+
+    err, call, bufsize = np.geterr(), np.geterrcall(), np.getbufsize()
+
+    def numpy_state():
+        np.seterr(**err)
+        np.seterrcall(call)
+        np.setbufsize(bufsize)
+
     def grt(variant):
         return trace_flux_grt(
             facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
@@ -160,7 +142,9 @@ def grt_pair(scene, h, facets, sun):
             radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
             heliostat_ids=(h.name,))
 
-    return _on_two_threads(grt, *VARIANTS)
+    with ThreadPoolExecutor(1, "helioflux", initializer=numpy_state) as worker:
+        off_axis = worker.submit(grt, "off_axis")
+        return {"spherical": grt("spherical"), "off_axis": off_axis.result()}
 
 
 def mirror_slots(scene):
@@ -241,58 +225,51 @@ def day_course(scene, collect_maps=False):
         # the first slot at the slot's sun or at its mirror image
         return min(mirror[slot], mirror[mirror[slot]]) if slot in mirror else slot
 
-    def realized(h, slot):
-        if (h.name, slot) not in facets:
-            facets[(h.name, slot)] = {
-                variant: realize_modules(h, layouts[h.name], report.cantings[h.name][variant],
-                                         schedule[slot].position) for variant in VARIANTS}
-        return facets[(h.name, slot)]
+    # The slots of a mirror group run back to back, and each group caches
+    # the facets and GRT maps of a (heliostat, slot) only while it runs.
+    ordered = sorted(range(len(schedule)), key=mirror_group)
+    for _, slots in itertools.groupby(ordered, key=mirror_group):
+        @functools.cache
+        def realized(h, slot):
+            return {variant: realize_modules(h, layouts[h.name], report.cantings[h.name][variant],
+                                             schedule[slot].position) for variant in VARIANTS}
 
-    def traced(h, slot):
-        if (h.name, slot) not in pairs:
-            pairs[(h.name, slot)] = grt_pair(scene, h, realized(h, slot),
-                                             schedule[slot].position)
-        return pairs[(h.name, slot)]
+        @functools.cache
+        def traced(h, slot):
+            return grt_pair(scene, h, realized(h, slot), schedule[slot].position)
 
-    # The slots of a mirror group run back to back, so the facets and GRT
-    # maps of a (heliostat, slot) are held only while their group runs.
-    facets, pairs, group = {}, {}, None
-    for it in sorted(range(len(schedule)), key=mirror_group):
-        if mirror_group(it) != group:
-            facets, pairs, group = {}, {}, mirror_group(it)
-        entry = schedule[it]
-        single = {}  # drops the previous time's maps before computing new ones
-        for name, h in report.heliostats.items():
-            own = single[name] = {}
-            if "grt" in engines:
-                source, slot = flipped.get((name, it), (h, it))
-                for variant, m in traced(source, slot).items():
-                    own[(variant, "grt")] = m if source is h else replace(
-                        m, values=m.values[::-1, :], sun=entry.position, heliostat_ids=(name,))
-            if "conv" in engines:
-                for variant, f in realized(h, it).items():
-                    own[(variant, "conv")] = convolve_flux(
-                        f, entry.position, scene.sunshape, scene.receiver, dni=scene.dni,
-                        surface_samples=scene.surface_samples, heliostat_ids=(name,))
-        for case in cases:
-            first, *rest = members[case]
-            for variant in VARIANTS:
-                case_maps, peaks = {}, {}
-                for eng in engines:
-                    combined = single[first.name][(variant, eng)]
-                    for h in rest:
-                        combined = map_add(combined, single[h.name][(variant, eng)])
-                    case_maps[eng] = combined
-                    peaks[eng] = concentration_ratio(combined)
-                    if collect_maps:
-                        maps[(entry.label, variant, case, eng)] = combined
-                if len(engines) == 2:
-                    diff = case_maps["conv"].values - case_maps["grt"].values
-                    rms = math.sqrt(float((diff * diff).mean()))
-                    report.engine_rms[(entry.label, variant, case)] = rms / peaks["grt"]
-                report.peak[(case, variant)][it] = peaks[report.engine]
-                report.intercepted[(case, variant)][it] = intercepted_power(
-                    case_maps[report.engine], scene.receiver.diameter)
+        for it in slots:
+            entry = schedule[it]
+            single = {}  # drops the previous time's maps before computing new ones
+            for name, h in report.heliostats.items():
+                own = single[name] = {}
+                if "grt" in engines:
+                    source, slot = flipped.get((name, it), (h, it))
+                    for variant, m in traced(source, slot).items():
+                        own[(variant, "grt")] = m if source is h else replace(
+                            m, values=m.values[::-1, :], sun=entry.position,
+                            heliostat_ids=(name,))
+                if "conv" in engines:
+                    for variant, f in realized(h, it).items():
+                        own[(variant, "conv")] = convolve_flux(
+                            f, entry.position, scene.sunshape, scene.receiver, dni=scene.dni,
+                            surface_samples=scene.surface_samples, heliostat_ids=(name,))
+            for case in cases:
+                for variant in VARIANTS:
+                    case_maps, peaks = {}, {}
+                    for eng in engines:
+                        combined = case_maps[eng] = functools.reduce(
+                            map_add, (single[h.name][(variant, eng)] for h in members[case]))
+                        peaks[eng] = concentration_ratio(combined)
+                        if collect_maps:
+                            maps[(entry.label, variant, case, eng)] = combined
+                    if len(engines) == 2:
+                        diff = case_maps["conv"].values - case_maps["grt"].values
+                        rms = math.sqrt(float((diff * diff).mean()))
+                        report.engine_rms[(entry.label, variant, case)] = rms / peaks["grt"]
+                    report.peak[(case, variant)][it] = peaks[report.engine]
+                    report.intercepted[(case, variant)][it] = intercepted_power(
+                        case_maps[report.engine], scene.receiver.diameter)
 
     for case in cases:
         report.gain[case] = (report.peak[(case, "off_axis")]

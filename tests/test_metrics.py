@@ -1,6 +1,7 @@
 """Concentration figures, day-course behavior, case composition."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -57,8 +58,9 @@ def test_intercepted_power_limits():
     m = make_map(rng.uniform(size=(16, 16)), grid=hf.GridSpec(2.0, 16))
     assert hf.intercepted_power(m, 100.0) == pytest.approx(1.0, abs=1e-12)
     assert hf.intercepted_power(m, 1e-6) == 0.0
-    with pytest.raises(ValueError):
-        hf.intercepted_power(m, 0.0)
+    for diameter in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            hf.intercepted_power(m, diameter)
     assert hf.intercepted_power(make_map(np.zeros((16, 16))), 100.0) == 0.0
 
 
@@ -109,6 +111,32 @@ def test_day_course_freezes_canting(table1_config, monkeypatch):
     # one optimization per heliostat, not one per timestep
     assert calls["n"] == len(scene.heliostats)
     assert len(report.labels) == len(scene.schedule)
+
+
+def test_a_day_course_frees_grt_maps_once_their_mirror_group_ends(table1_config, monkeypatch):
+    # Over 9 symmetric hours a time and the time at its mirrored sun run
+    # back to back: the heliostat's GRT pair is traced at both and the
+    # twin's maps are flips of it.  A group's pairs are freed when the next
+    # group starts, so only a few maps outlive their group's last time.
+    pair = metrics.grt_pair
+    traced, alive = [], []
+
+    def tracking(*args):
+        alive.append(sum(ref() is not None for ref in traced))
+        maps = pair(*args)
+        traced.extend(weakref.ref(m) for m in maps.values())
+        return maps
+
+    monkeypatch.setattr(metrics, "grt_pair", tracking)
+    scene = hf.with_overrides(table1_config, grid_cells=64, surface_samples=4)
+    latitude = scene.site.latitude
+    scene = dataclasses.replace(scene, radial_nodes=2, azimuth_nodes=8, schedule=tuple(
+        hf.ScheduleEntry(label=hf.hour_label(hour),
+                         position=hf.ideal_equinox_position(latitude, hour))
+        for hour in map(float, range(8, 17))))
+    metrics.day_course(scene, collect_maps=False)
+    assert len(traced) == 18
+    assert max(alive) <= 4, alive
 
 
 def test_pair_map_is_exact_sum_of_singles(table1_run):
