@@ -15,6 +15,7 @@ Both engines ignore shadowing and blocking between heliostats; maps of
 separate heliostats are therefore independent and add cell-wise.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -256,6 +257,20 @@ def _convolve_padded(spot, kernel):
     return values
 
 
+@functools.lru_cache(maxsize=1)
+def _last_kernel(shape, path_length, beam, grid):
+    """``build_kernel`` of the last inputs it was called with, read-only.
+
+    The key is all of ``build_kernel``'s inputs, so a hit is the kernel a
+    new build would give.  ``day_course`` convolves a heliostat's two
+    canting variants back to back at one mean facet centre, so the second
+    call is a hit.
+    """
+    kernel = build_kernel(shape, path_length, np.array(beam), grid)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def convolve_flux(facets, sun, shape, receiver, dni=1.0,
                   surface_samples=DEFAULT_SURFACE_SAMPLES,
                   heliostat_ids=()):
@@ -272,6 +287,10 @@ def convolve_flux(facets, sun, shape, receiver, dni=1.0,
 
     Pass the facets of a single heliostat: the kernel is built once at
     their mean centre.  Compose multi-heliostat maps with ``map_add``.
+    The kernel depends on nothing else of the facets, and canting only
+    rotates facet axes, never moves a centre, so a heliostat's two canting
+    variants share it: a call with the same sunshape, grid, path length
+    and beam as the one before reuses that call's kernel, read-only.
     A facet centre farther from the mean than one heliostat diagonal
     raises ``HelioFluxError``.  The facets do not know their heliostat, so
     its diagonal is taken as the sum of the facet diagonals, the diagonal
@@ -289,7 +308,7 @@ def convolve_flux(facets, sun, shape, receiver, dni=1.0,
 
     path_length = float(np.sqrt(centre @ centre))
     beam = -centre / path_length
-    kernel = build_kernel(shape, path_length, beam, receiver.grid)
+    kernel = _last_kernel(shape, path_length, tuple(beam), receiver.grid)
 
     if kernel.shape == (1, 1):
         values = spot * kernel[0, 0]  # delta kernel: convolution is the identity

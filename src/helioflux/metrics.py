@@ -43,15 +43,27 @@ def concentration_ratio(flux_map):
 
 
 def intercepted_power(flux_map, diameter):
-    """Fraction of the on-grid power inside the centred disc of ``diameter``."""
+    """Fraction of the on-grid power inside the centred disc of ``diameter``.
+
+    A cell lies in the disc when r2[i] + r2[j] <= R^2 for its squared
+    cell-centre coordinates r2; both terms are then at most R^2, so the
+    disc's cells all lie in the square of rows and columns with r2 <= R^2.
+    Only that bounding square is masked and summed.  Row-major order inside
+    it keeps the disc's cells in the whole grid's order, so the sum is the
+    one over the whole grid's mask, bit for bit.  The total is the whole
+    grid's.
+    """
     if not diameter > 0.0:
         raise ValueError("aperture diameter must be positive")
     r2 = flux_map.grid.centres() ** 2
-    inside = r2[:, None] + r2[None, :] <= (0.5 * diameter) ** 2
+    radius2 = (0.5 * diameter) ** 2
+    band = np.flatnonzero(r2 <= radius2)
+    box = slice(band[0], band[-1] + 1) if band.size else slice(0)
+    inside = r2[box, None] + r2[None, box] <= radius2
     total = flux_map.values.sum()
     if total == 0.0:
         return 0.0
-    return float(flux_map.values[inside].sum() / total)
+    return float(flux_map.values[box, box][inside].sum() / total)
 
 
 @dataclass

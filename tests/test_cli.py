@@ -114,6 +114,20 @@ def test_run_records_engine_rms_with_both_engines(fast_scene, tmp_path):
         assert float(line.split(" = ")[1]) <= 0.02
 
 
+def test_a_conv_run_writes_the_conv_files_of_a_both_run(fast_scene, tmp_path):
+    # conv maps and the report they feed do not depend on the GRT pair traced
+    # beside them on the worker thread; only the manifest names the engine
+    conv, both = str(tmp_path / "conv"), str(tmp_path / "both")
+    assert main(["run", fast_scene, "--engine", "conv", "--out", conv]) == 0
+    assert main(["run", fast_scene, "--engine", "both", "--out", both]) == 0
+    names = sorted(os.listdir(conv))
+    assert set(names) < set(os.listdir(both))
+    for name in names:
+        if name != "manifest.txt":
+            assert filecmp.cmp(os.path.join(conv, name), os.path.join(both, name),
+                               shallow=False), name
+
+
 def test_pgm_format(fast_scene, tmp_path):
     out_dir = str(tmp_path / "pgm")
     assert main(["run", fast_scene, "--out", out_dir]) == 0

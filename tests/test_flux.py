@@ -424,6 +424,59 @@ def test_convolution_peak_stable_under_grid_refinement():
     assert abs(peaks[512] / peaks[256] - 1.0) < 0.01
 
 
+def recorded_kernels(monkeypatch):
+    """Every ``flux.build_kernel`` call from now on, as (arguments, kernel),
+    with the kernel memo emptied first."""
+    calls = []
+    build = flux.build_kernel
+
+    def recording(*args):
+        kernel = build(*args)
+        calls.append((args, kernel))
+        return kernel
+
+    flux._last_kernel.cache_clear()
+    monkeypatch.setattr(flux, "build_kernel", recording)
+    return calls
+
+
+def test_the_memoized_kernel_is_read_only(monkeypatch):
+    calls = recorded_kernels(monkeypatch)
+    hf.convolve_flux(reference_facets(), hf.SunPosition(azimuth=0.0, elevation=44.63),
+                     hf.SunshapeModel(), hf.ReceiverSpec())
+    [(_, kernel)] = calls
+    assert kernel.shape != (1, 1)
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
+
+
+def test_a_call_that_differs_in_grid_sunshape_or_path_length_builds_its_own_kernel(
+        monkeypatch):
+    calls = recorded_kernels(monkeypatch)
+    sun = hf.SunPosition(azimuth=0.0, elevation=44.63)
+    facets, shape = reference_facets(), hf.SunshapeModel()
+    receiver = hf.ReceiverSpec(grid=hf.GridSpec(extent=16.0, cells=256))
+    # twice the centres: twice the path length, and bit for bit the same beam
+    farther = [dataclasses.replace(f, centre=2.0 * f.centre) for f in facets]
+    first = hf.convolve_flux(facets, sun, shape, receiver)
+    again = hf.convolve_flux(facets, sun, shape, receiver)
+    assert len(calls) == 1
+    assert np.array_equal(again.values, first.values)
+    for args in [(facets, sun, shape, hf.ReceiverSpec(grid=hf.GridSpec(16.0, 128))),
+                 (facets, sun, hf.SunshapeModel(kind="pillbox"), receiver),
+                 (farther, sun, shape, receiver)]:
+        hf.convolve_flux(*args)
+    assert len(calls) == 4
+    (base, _), (grid, _), (sunshape, _), (path, _) = calls
+    differs = [[not np.array_equal(a, b) for a, b in zip(base, other)]
+               for other in (grid, sunshape, path)]
+    # (shape, path length, beam, grid)
+    assert differs == [[False, False, False, True], [True, False, False, False],
+                       [False, True, False, False]]
+    assert path[1] == 2.0 * base[1]
+
+
 # --- convolution on the spot's support against the full-grid reference --------
 
 def _full_grid_convolve(spot, kernel):

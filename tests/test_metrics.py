@@ -1,10 +1,14 @@
 """Concentration figures, day-course behavior, case composition."""
 
 import dataclasses
+import gc
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helioflux as hf
 import helioflux.metrics as metrics
@@ -62,6 +66,41 @@ def test_intercepted_power_limits():
         with pytest.raises(ValueError):
             hf.intercepted_power(m, diameter)
     assert hf.intercepted_power(make_map(np.zeros((16, 16))), 100.0) == 0.0
+
+
+@st.composite
+def aperture_cases(draw):
+    """A map on an even grid of 16-512 cells, with zeros and -0.0, and a
+    diameter below one cell, on a cell-centre radius, beyond the grid
+    diagonal or anywhere between."""
+    cells = 2 * draw(st.integers(8, 256))
+    grid = hf.GridSpec(extent=draw(st.sampled_from((0.5, 4.0, 8.0, 13.7))), cells=cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.0, draw(st.sampled_from((1e-300, 1.0, 1e300))), (cells, cells))
+    for zero in (0.0, -0.0):
+        values[rng.random((cells, cells)) < draw(st.sampled_from((0.0, 0.5, 0.99, 1.0)))] = zero
+    centres = grid.centres()
+    i, j = draw(st.integers(0, cells - 1)), draw(st.integers(0, cells - 1))
+    diameter = draw(st.one_of(
+        st.floats(1e-3, 1.0).map(lambda f: f * grid.cell_size),
+        st.just(2.0 * math.sqrt(centres[i] ** 2 + centres[j] ** 2)),
+        st.just(2.0 * abs(centres[i])),
+        st.floats(math.sqrt(2.0), 1e3).map(lambda f: f * grid.extent),
+        st.floats(1e-3, 2.0).map(lambda f: f * grid.extent)))
+    return make_map(values, grid=grid), diameter
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(aperture_cases())
+def test_intercepted_power_is_the_full_grid_mask_sum_bit_for_bit(case):
+    # intercepted_power sums only the disc's bounding square; the reference
+    # masks the whole grid
+    flux_map, diameter = case
+    values, r2 = flux_map.values, flux_map.grid.centres() ** 2
+    total = values.sum()
+    inside = r2[:, None] + r2[None, :] <= (0.5 * diameter) ** 2
+    expected = 0.0 if total == 0.0 else float(values[inside].sum() / total)
+    assert repr(hf.intercepted_power(flux_map, diameter)) == repr(expected)
 
 
 def test_off_axis_interception_beats_spherical_at_noon(noon_maps, table1_config):
@@ -137,6 +176,38 @@ def test_a_day_course_frees_grt_maps_once_their_mirror_group_ends(table1_config,
     metrics.day_course(scene, collect_maps=False)
     assert len(traced) == 18
     assert max(alive) <= 4, alive
+
+
+def test_repeated_conv_day_courses_leave_nothing_behind(table1_config, monkeypatch):
+    # Five day courses at five different pairs of suns: afterwards the
+    # traced memory is within one kernel of what it was after the first.  The
+    # kernel memo holds one kernel; one that kept every kernel, or maps kept
+    # past their day course, would grow by one run's worth each time.
+    scene = hf.with_overrides(table1_config, engine="conv", surface_samples=4)
+    latitude = scene.site.latitude
+    kernel_bytes = []  # the memory each built kernel holds
+    build = hf.flux.build_kernel
+
+    def recording(*args):
+        kernel = build(*args)
+        kernel_bytes.append(kernel.base.nbytes)
+        return kernel
+
+    monkeypatch.setattr(hf.flux, "build_kernel", recording)
+    sizes = []
+    tracemalloc.start()
+    try:
+        for run in range(5):
+            schedule = tuple(hf.ScheduleEntry(label=hf.hour_label(hour),
+                                              position=hf.ideal_equinox_position(latitude, hour))
+                             for hour in (10.0 + 0.25 * run, 13.0 + 0.25 * run))
+            hf.day_course(dataclasses.replace(scene, schedule=schedule))
+            gc.collect()
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert len(kernel_bytes) == 5 * 2 * 2  # runs x heliostats x suns
+    assert abs(sizes[-1] - sizes[0]) <= max(kernel_bytes), (sizes, kernel_bytes)
 
 
 def test_pair_map_is_exact_sum_of_singles(table1_run):

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helioflux as hf
-from helioflux import metrics
+from helioflux import flux, metrics
 from helioflux.cli import run
 from helioflux.errors import ConfigError, HelioFluxError
 from helioflux.metrics import ENGINES, VARIANTS, case_heliostats, frozen_cantings
@@ -291,6 +291,60 @@ def test_a_day_course_realizes_each_heliostat_once_per_slot_and_variant(scene, m
         collections.Counter((name, entry.position, id(report.cantings[name][variant]))
                             for name in report.heliostats for entry in scene.schedule
                             for variant in VARIANTS)
+
+
+@pytest.mark.parametrize("scene", [TABLE1_DAY, FLIPPED, REPEATED, NO_PAIR])
+def test_a_conv_day_course_builds_one_kernel_per_heliostat_and_slot(scene, monkeypatch):
+    # The two canting variants have the same facet centres, so the same
+    # kernel (test_both_variants_realize_the_same_facet_centres): the day
+    # course convolves them back to back, and the second call reuses the
+    # first's kernel
+    scene = dataclasses.replace(scene, engine="conv")
+    calls = collections.Counter()
+
+    def counting(owner, name):
+        function = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(flux, "build_kernel")
+    counting(metrics, "convolve_flux")
+    flux._last_kernel.cache_clear()
+    report = hf.day_course(scene)
+    assert calls["build_kernel"] == len(report.heliostats) * len(scene.schedule)
+    assert calls["convolve_flux"] == 2 * calls["build_kernel"]
+
+
+@PROPERTY
+@given(scenes(shaped=True))
+def test_every_conv_map_equals_a_convolution_with_a_fresh_kernel(scene):
+    # every case map of a conv day course, bit for bit, from members' maps
+    # each convolved with the kernel memo emptied
+    scene = dataclasses.replace(scene, engine="conv")
+    _, maps = hf.day_course(scene, collect_maps=True)
+    members = case_heliostats(scene)
+    expected = {}
+    for entry in scene.schedule:
+        for variant in VARIANTS:
+            fresh = {}
+            for h in {h.name: h for case in scene.cases for h in members[case]}.values():
+                layout = hf.module_centres(h)
+                facets = hf.realize_modules(h, layout, frozen_cantings(
+                    h, layout, scene.reference)[variant], entry.position)
+                flux._last_kernel.cache_clear()
+                fresh[h.name] = hf.convolve_flux(
+                    facets, entry.position, scene.sunshape, scene.receiver, dni=scene.dni,
+                    surface_samples=scene.surface_samples, heliostat_ids=(h.name,))
+            for case in scene.cases:
+                expected[(entry.label, variant, case, "conv")] = functools.reduce(
+                    hf.map_add, (fresh[h.name] for h in members[case]))
+    assert_same_maps(maps, expected)
+    for key, flux_map in maps.items():
+        assert flux_map.values.tobytes() == expected[key].values.tobytes(), key
 
 
 @PROPERTY
