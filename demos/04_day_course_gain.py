@@ -1,8 +1,12 @@
 """Concentration over an equinox day: single heliostat and symmetric pair.
 
-Reproduces the headline result: the off-axis canting, frozen at the noon
-reference, buys roughly 5-10% of peak concentration through the middle of
-the day and gives some of it back near the ends.
+Prints the peak concentration of both cantings at five equinox hours and
+the off-axis gain per hour.  The off-axis canting, frozen at the noon
+reference, gains 5.6% of peak concentration at that design point.  The
+single heliostat loses in the morning (-19.8% at 09h00, -2.2% at 10h30) and
+gains most at 13h30 (+46.9%), where the sphere drops to 19.8 suns.  The
+symmetric pair's gains are symmetric about noon: +14.6% at 10h30 and
+13h30, -16.0% at 09h00 and 15h00.
 """
 
 import helioflux as hf

@@ -53,6 +53,8 @@ class HeliostatSpec:
     def __post_init__(self):
         if len(self.position) != 3 or not all(map(math.isfinite, self.position)):
             raise ConfigError("position needs three finite coordinates")
+        # a hashable tuple of floats: the day course's memos key on the spec
+        object.__setattr__(self, "position", tuple(map(float, self.position)))
         if not self.position[0] > 0.0:
             raise ConfigError("position: X' must be positive so the receiver front face "
                               "sees the heliostat")
@@ -129,7 +131,8 @@ class CantingSet:
     h: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.abs(self.a) >= CANTING_LIMIT) or np.any(np.abs(self.h) >= CANTING_LIMIT):
+        # written so that a NaN angle fails the test
+        if not (np.all(np.abs(self.a) < CANTING_LIMIT) and np.all(np.abs(self.h) < CANTING_LIMIT)):
             raise ValueError("canting angles outside the small-angle regime (|angle| < 0.1 rad)")
         self.a.setflags(write=False)
         self.h.setflags(write=False)
@@ -140,7 +143,8 @@ def _sphere_slopes(layout, distance):
     radius 2d focused at ``distance`` d, which must be positive."""
     if not distance > 0.0:
         raise ValueError("focusing distance must be positive")
-    y, z = np.meshgrid(layout.y, layout.z, indexing="ij")
+    y = np.repeat(layout.y[:, None], len(layout.z), axis=1)
+    z = np.repeat(layout.z[None, :], len(layout.y), axis=0)
     return y / (2.0 * distance), z / (2.0 * distance)
 
 
@@ -194,13 +198,14 @@ def off_axis_canting(spec, layout, ctx, distance):
 
     which reduces to the spherical canting when the reference incidence i0
     vanishes.  Incidences with cos(i0) <= 0.5 sit outside the regime where
-    the first-order tangency argument holds and are rejected.
+    the first-order tangency argument holds and are rejected, as are a NaN
+    incidence and a non-finite phi.
     """
     cos_i0 = math.cos(ctx.incidence0)
-    if cos_i0 <= 0.5:
+    if not (cos_i0 > 0.5 and math.isfinite(ctx.phi)):
         raise DegenerateGeometry(
-            f"reference incidence {math.degrees(ctx.incidence0):.2f} deg too extreme "
-            "for off-axis canting (cos i0 <= 0.5)")
+            f"reference incidence {math.degrees(ctx.incidence0):.2f} deg (phi {ctx.phi}) too "
+            "extreme for off-axis canting (cos i0 <= 0.5 or phi not finite)")
     sin_i0 = math.sin(ctx.incidence0)
     cos_phi = math.cos(ctx.phi)
     sin_phi = math.sin(ctx.phi)

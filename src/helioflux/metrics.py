@@ -165,18 +165,14 @@ def mirror_slots(scene):
     With the reference sun on the meridian (azimuth 0.0), the X'-mirror
     twin of a heliostat at sun (az, el) sees the mirror image of that
     heliostat's whole optical path at (-az, el): its map is the heliostat's
-    map there with Y' reversed.  That needs the mirrored sun's cone
-    quadrature to be the mirror image of the sun's, which in general holds
-    only for an even number of azimuth nodes (a twin's node at psi mirrors
-    the heliostat's node at pi - psi), so odd counts get no flips.  The day
-    course takes a twin's GRT maps from that flip wherever (-az, el) is
-    exactly the position of a schedule entry (the first such entry); it
-    traces them everywhere else.  Empty when no case adds twins or the
-    engine setting runs no GRT.
+    map there with Y' reversed.  The sun-cone quadrature is mirror symmetric
+    by construction (``cone_directions``), so the mirrored sun's cone is the
+    mirror image of the sun's at every node count.  The day course takes a
+    twin's GRT maps from that flip wherever (-az, el) is exactly the
+    position of a schedule entry (the first such entry); it traces them
+    everywhere else.  Empty when no case adds twins.
     """
-    if ("grt" not in ENGINES[scene.engine] or scene.reference.azimuth != 0.0
-            or scene.azimuth_nodes % 2
-            or not any(CASE_TWINS[case] for case in scene.cases)):
+    if scene.reference.azimuth != 0.0 or not any(CASE_TWINS[case] for case in scene.cases):
         return {}
     index = {}
     for j, entry in enumerate(scene.schedule):

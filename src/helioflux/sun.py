@@ -207,14 +207,24 @@ def perpendicular_basis(axis):
 def cone_directions(model, axis, radial, azimuthal):
     """Deterministic quadrature over the sun cone around ``axis``.
 
-    Midpoint nodes in fractional radius and azimuth; each node weight is
-    proportional to sin(theta) B(rho), then the set is normalized to unit
-    total weight.  Returns (directions (R*A, 3), weights (R*A,)).
+    Midpoint nodes in fractional radius; A azimuth nodes at
+    psi_k = (k + 1/2 + (A mod 2)/4) 2 pi / A about ``perpendicular_basis``.
+    Each node weight is proportional to sin(theta) B(rho), then the set is
+    normalized to unit total weight.  Returns (directions (R*A, 3),
+    weights (R*A,)).
+
+    The quadrature is mirror symmetric by construction: the X'-mirror
+    M = diag(1, -1, 1) takes the basis about S to (-e1, e2) about MS, so
+    the node at psi about S lands on the node at pi - psi about MS, and
+    the node set is closed under psi -> pi - psi for every count (node k
+    of an even count pairs with node A/2 - 1 - k, of an odd one with node
+    (A - 3)/2 - k mod A).  The directions about MS are those about S
+    mirrored, with the same weights.
     """
     rho = (np.arange(radial) + 0.5) / radial
     theta = rho * model.half_angle
     ring_weight = np.sin(theta) * sunshape_radiance(model, rho)
-    psi = (np.arange(azimuthal) + 0.5) * (2.0 * math.pi / azimuthal)
+    psi = (np.arange(azimuthal) + 0.5 + azimuthal % 2 / 4.0) * (2.0 * math.pi / azimuthal)
 
     e1, e2 = perpendicular_basis(axis)
     lateral = (np.cos(psi)[None, :, None] * e1[None, None, :]

@@ -226,6 +226,23 @@ def test_canting_set_rejects_large_angles():
         hf.CantingSet(a=np.array([[0.2]]), h=np.array([[0.0]]))
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_canting_set_rejects_non_finite_angles(angle):
+    # a NaN facet would spill every ray, far from the cause
+    with pytest.raises(ValueError, match="small-angle"):
+        hf.CantingSet(a=np.array([[angle]]), h=np.array([[0.0]]))
+    with pytest.raises(ValueError, match="small-angle"):
+        hf.CantingSet(a=np.array([[0.0]]), h=np.array([[angle]]))
+
+
+@pytest.mark.parametrize("ctx", [hf.OffAxisContext(incidence0=math.nan, phi=0.0),
+                                 hf.OffAxisContext(incidence0=0.3, phi=math.nan)])
+def test_off_axis_rejects_a_nan_context(ctx):
+    spec = hf.HeliostatSpec()
+    with pytest.raises(DegenerateGeometry, match="nan"):
+        hf.off_axis_canting(spec, hf.module_centres(spec), ctx, 100.0)
+
+
 # --- facet realization -------------------------------------------------------
 
 def trace_centre_ray_miss(facets, sun):
@@ -338,3 +355,20 @@ def test_mirrored_heliostat_keeps_every_other_field():
     twin = spec.mirrored()
     assert (twin.position, twin.name) == ((80.0, -30.0, 2.0), "h7_mirror")
     assert dataclasses.replace(twin, position=spec.position, name=spec.name) == spec
+
+
+def test_a_position_of_any_sequence_type_gives_the_same_heliostat():
+    # The day course memoizes on the spec, so it must hash, and a list or an
+    # array must not give maps other than those of the tuple of floats
+    specs = [hf.HeliostatSpec(name="h1", position=position)
+             for position in ([87, 50, 0], (87, 50, 0), np.array([87.0, 50.0, 0.0]))]
+    assert all(spec == specs[0] and hash(spec) == hash(specs[0]) for spec in specs)
+    assert all(type(c) is float for c in specs[1].position)
+    scene = dataclasses.replace(
+        hf.load_config(hf.table1_scene_path()), engine="conv", surface_samples=2,
+        receiver=hf.ReceiverSpec(grid=hf.GridSpec(extent=8.0, cells=64)))
+    maps = [hf.day_course(dataclasses.replace(scene, heliostats=(spec,)), collect_maps=True)[1]
+            for spec in specs]
+    for key, flux_map in maps[0].items():
+        for other in maps[1:]:
+            assert np.array_equal(other[key].values, flux_map.values), key

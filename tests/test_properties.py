@@ -5,10 +5,10 @@ Each example is a scene built in code: one or two heliostats in front of
 the receiver (X' > 0), one sun 10-80 degrees high or that sun and its
 mirror image (-azimuth), either sunshape, on a 64-cell grid with small
 sampling (odd and even sun-cone azimuth node counts) so the module stays
-fast.  With the mirror image in the schedule, the reference sun at
-azimuth 0 and an even node count, the pair case's twin GRT maps are flips
-of their heliostats' maps, so every property that runs a day course covers
-that path and its fallback to tracing.  The last
+fast.  With the mirror image in the schedule and the reference sun at
+azimuth 0, the pair case's twin GRT maps are flips of their heliostats'
+maps, so every property that runs a day course covers that path and its
+fallback to tracing.  The last
 property draws scenes that need not be valid: one heliostat 2-200 m away
 anywhere in front of the receiver, with any reflectivity in [0, 1], any
 DNI up to 2000 and either engine setting.  The examples are derandomized,
@@ -97,12 +97,13 @@ SPILLING_NOON = dataclasses.replace(TABLE1_NOON, engine="grt", receiver=hf.Recei
 MORNING = small_scene((hf.HeliostatSpec(**TABLE1_H1),),
                       hf.SunPosition(azimuth=-30.0, elevation=40.0), "limb_darkened")
 FLIPPED = with_second_sun(MORNING, hf.SunPosition(azimuth=30.0, elevation=40.0))
-# ... and four scenes where no flip applies, so every twin map is traced
+# the quadrature is mirror symmetric at an odd azimuth node count too
+ODD_NODES = dataclasses.replace(FLIPPED, azimuth_nodes=5)
+# ... and three scenes where no flip applies, so every twin map is traced
 ONE_ULP_OFF = with_second_sun(MORNING, hf.SunPosition(azimuth=math.nextafter(30.0, math.inf),
                                                       elevation=40.0))
 OFF_MERIDIAN = dataclasses.replace(FLIPPED,
                                    reference=hf.SunPosition(azimuth=10.0, elevation=44.63))
-ODD_NODES = dataclasses.replace(FLIPPED, azimuth_nodes=5)
 NO_PAIR = dataclasses.replace(FLIPPED, cases=("single",))
 # the morning sun twice with an unmirrored sun between them, then the
 # afternoon sun: both mornings flip the one afternoon trace, the middle
@@ -119,11 +120,11 @@ PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 def flip_source(scene, entry):
     """Label of the entry whose GRT maps a twin's maps at ``entry`` flip, or None.
 
-    The day course's rule, restated: the reference sun lies on the meridian,
-    the sun cone has an even number of azimuth nodes, and the mirror image of
-    the entry's sun is exactly the position of an entry (the first such one).
+    The day course's rule, restated: the reference sun lies on the meridian
+    and the mirror image of the entry's sun is exactly the position of an
+    entry (the first such one).
     """
-    if scene.reference.azimuth != 0.0 or scene.azimuth_nodes % 2:
+    if scene.reference.azimuth != 0.0:
         return None
     return next((e.label for e in scene.schedule if e.position == mirrored(entry.position)),
                 None)
@@ -187,7 +188,7 @@ def test_pair_map_is_single_map_plus_twin_maps(scene):
 
 @pytest.mark.parametrize("scene, twin_traces", [
     (FLIPPED, 0), (dataclasses.replace(FLIPPED, engine="grt"), 0),
-    (ONE_ULP_OFF, 4), (OFF_MERIDIAN, 4), (NO_PAIR, 0), (ODD_NODES, 4), (REPEATED, 2)])
+    (ONE_ULP_OFF, 4), (OFF_MERIDIAN, 4), (NO_PAIR, 0), (ODD_NODES, 0), (REPEATED, 2)])
 def test_a_twin_is_traced_unless_its_grt_maps_are_flips(scene, twin_traces, monkeypatch):
     traced = []
     trace = metrics.trace_flux_grt
@@ -420,10 +421,8 @@ def test_mirrored_scene_gives_the_y_flipped_map(scene):
     # optical path, so the map is the single map with Y' reversed.  This is
     # the premise of the day course's flipped twin maps, so it is drawn over
     # heliostat shapes and sampling too, and the twin here is traced, never
-    # flipped.  It holds for GRT with an even number of sun-cone azimuth
-    # nodes.  With an odd number the mirrored sun's nodes are not the mirror
-    # images of the sun's, and the maps differ by far more (0.18 of peak or
-    # more on these draws), which is why the day course traces those twins.
+    # flipped.  It holds for GRT at every sun-cone azimuth node count, since
+    # the mirrored sun's nodes are the mirror images of the sun's.
     # The conv engine's one-direction spot breaks the mirror symmetry when a
     # ray lands on a cell edge, which an odd surface sample count makes
     # likely: its conv twins are traced, so conv is held to it only for even
@@ -440,9 +439,7 @@ def test_mirrored_scene_gives_the_y_flipped_map(scene):
         engine = key[3]
         error = np.abs(twin_maps[key].values - flux_map.values[::-1, :]).max()
         tol = 1e-12 * float(flux_map.values.max())
-        if engine == "grt" and scene.azimuth_nodes % 2:
-            assert error > 1e6 * tol
-        elif engine == "grt" or scene.surface_samples % 2 == 0:
+        if engine == "grt" or scene.surface_samples % 2 == 0:
             assert error <= tol
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import helioflux as hf
-from helioflux import flux
+from helioflux import flux, sun
 from helioflux.errors import ConfigError, DegenerateGeometry, KernelAliasingError
 
 UTC = timezone.utc
@@ -233,6 +233,48 @@ def test_cone_directions_mean_is_axis():
                                         flux.DEFAULT_AZIMUTH_NODES)
     mean = (dirs * weights[:, None]).sum(axis=0)
     assert np.allclose(mean / np.linalg.norm(mean), axis, atol=1e-12)
+
+
+def even_count_cone(model, axis, radial, azimuthal):
+    """The quadrature with azimuth nodes at (k + 1/2) 2 pi / A, which
+    ``cone_directions`` keeps bit for bit at an even count A."""
+    rho = (np.arange(radial) + 0.5) / radial
+    theta = rho * model.half_angle
+    ring_weight = np.sin(theta) * hf.sunshape_radiance(model, rho)
+    psi = (np.arange(azimuthal) + 0.5) * (2.0 * math.pi / azimuthal)
+    e1, e2 = sun.perpendicular_basis(axis)
+    lateral = (np.cos(psi)[None, :, None] * e1[None, None, :]
+               + np.sin(psi)[None, :, None] * e2[None, None, :])
+    dirs = (np.cos(theta)[:, None, None] * axis[None, None, :]
+            + np.sin(theta)[:, None, None] * lateral)
+    weights = np.repeat(ring_weight, azimuthal)
+    return dirs.reshape(-1, 3), weights / weights.sum()
+
+
+@pytest.mark.parametrize("azimuthal", range(4, 10))
+@pytest.mark.parametrize("radial", range(1, 4))
+def test_cone_about_the_mirrored_axis_is_the_mirrored_cone(radial, azimuthal):
+    # The X'-mirror M = diag(1, -1, 1) of the cone about S is the cone about
+    # MS, as a set of directions with the same weights, for odd and even
+    # azimuth counts, with axes in both branches of perpendicular_basis
+    # (|S_z| below and above 0.99, i.e. elevation 81.9 degrees).  This is
+    # what makes a mirror twin's GRT map the flip of its heliostat's.
+    model = hf.SunshapeModel(kind="limb_darkened")
+    mirror = np.array([1.0, -1.0, 1.0])
+    for azimuth in (-60.0, -7.5, 0.0, 33.0):
+        for elevation in (10.0, 44.63, 81.0, 85.0, 89.0):
+            axis = hf.sun_vector(hf.SunPosition(azimuth=azimuth, elevation=elevation))
+            dirs, weights = hf.cone_directions(model, axis, radial, azimuthal)
+            twin_dirs, twin_weights = hf.cone_directions(model, axis * mirror, radial,
+                                                         azimuthal)
+            error = np.abs((dirs * mirror)[:, None, :] - twin_dirs[None, :, :]).max(axis=2)
+            match = error.argmin(axis=1)
+            assert sorted(match) == list(range(radial * azimuthal))
+            assert error.min(axis=1).max() <= 1e-15
+            assert np.array_equal(twin_weights[match], weights)
+            if azimuthal % 2 == 0:
+                even = even_count_cone(model, axis, radial, azimuthal)
+                assert np.array_equal(dirs, even[0]) and np.array_equal(weights, even[1])
 
 
 # --- projected kernels -------------------------------------------------------
