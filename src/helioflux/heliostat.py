@@ -274,7 +274,7 @@ def _local_sample_grid(width, height, focal_length, samples):
     dv = height / samples
     u = (np.arange(samples) + 0.5) * du - 0.5 * width
     v = (np.arange(samples) + 0.5) * dv - 0.5 * height
-    uu, vv = (g.ravel() for g in np.meshgrid(u, v, indexing="ij"))
+    uu, vv = np.repeat(u, samples), np.tile(v, samples)  # the raveled ij meshgrid
     if focal_length is None:
         sag = np.zeros_like(uu)
         n_local = np.stack((np.ones_like(uu), sag, sag), axis=-1)

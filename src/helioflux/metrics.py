@@ -159,42 +159,31 @@ def grt_pair(scene, h, facets, sun):
         return {"spherical": grt("spherical"), "off_axis": off_axis.result()}
 
 
-def mirror_slots(scene):
-    """Schedule index -> index of the entry at the mirrored sun, for flipped twins.
+def day_course(scene, collect_maps=False):
+    """Simulate the scene's schedule for every variant and case.
+
+    Canting sets are computed once per heliostat from the scene reference
+    sun and reused across all times.  A flux map depends only on the
+    heliostat and the sun, so each heliostat's facets are realized once per
+    (sun, variant), however often the schedule names that sun; its conv maps
+    are convolved from them, and its GRT maps are traced from them as a pair
+    on two threads (``grt_pair``), bit-identical to serial traces, once per
+    sun.
 
     With the reference sun on the meridian (azimuth 0.0), the X'-mirror
     twin of a heliostat at sun (az, el) sees the mirror image of that
     heliostat's whole optical path at (-az, el): its map is the heliostat's
     map there with Y' reversed.  The sun-cone quadrature is mirror symmetric
     by construction (``cone_directions``), so the mirrored sun's cone is the
-    mirror image of the sun's at every node count.  The day course takes a
-    twin's GRT maps from that flip wherever (-az, el) is exactly the
-    position of a schedule entry (the first such entry); it traces them
-    everywhere else.  Empty when no case adds twins.
-    """
-    if scene.reference.azimuth != 0.0 or not any(CASE_TWINS[case] for case in scene.cases):
-        return {}
-    index = {}
-    for j, entry in enumerate(scene.schedule):
-        index.setdefault(entry.position, j)
-    mirrored = (replace(e.position, azimuth=-e.position.azimuth) for e in scene.schedule)
-    return {i: index[p] for i, p in enumerate(mirrored) if p in index}
-
-
-def day_course(scene, collect_maps=False):
-    """Simulate the scene's schedule for every variant and case.
-
-    Canting sets are computed once per heliostat from the scene reference
-    sun and reused across all times.  Each heliostat's facets are realized
-    once per (time, variant); its conv maps are convolved from them, and its
-    GRT maps are traced from them as a pair on two threads (``grt_pair``),
-    bit-identical to serial traces.  A mirror twin's GRT maps at the times
-    of ``mirror_slots`` are instead its heliostat's pair at the mirrored sun
-    with Y' reversed.  A time and the times at its mirrored sun run back to
-    back, and the facets and GRT pairs realized and traced at them are held
-    only while they run; the figures and maps are keyed by time, so that
-    order does not change them.  Maps are composed into cases by cell-wise
-    addition, so a pair map is exactly the sum of the maps of its members.
+    mirror image of the sun's at every node count.  So where a case adds
+    twins and (-az, el) is exactly the position of a schedule entry, a
+    twin's GRT maps are its heliostat's pair there with Y' reversed; they
+    are traced everywhere else.  A sun, its mirror image and any repeat of
+    either run back to back, and the facets and GRT pairs realized and
+    traced for them are held only while they run; the figures and maps are
+    keyed by time, so that order does not change them.  Maps are composed
+    into cases by cell-wise addition, so a pair map is exactly the sum of
+    the maps of its members.
 
     The schedule, cases and engine are the scene's; run a variant of a
     scene with ``dataclasses.replace`` or ``scene.with_overrides``.  The
@@ -223,44 +212,47 @@ def day_course(scene, collect_maps=False):
         report.peak[(case, variant)] = np.zeros(len(schedule))
         report.intercepted[(case, variant)] = np.zeros(len(schedule))
 
-    mirror = mirror_slots(scene)
-    # (twin name, slot) -> (its heliostat, the slot at the mirrored sun): the
-    # twin's GRT maps there are that heliostat's maps with Y' reversed
-    flipped = {(h.mirrored().name, slot): (h, source) for h in scene.heliostats
-               for slot, source in mirror.items()}
+    # twin name -> its heliostat, whose GRT maps at the mirrored sun the
+    # twin's maps are, with Y' reversed, wherever that sun is scheduled
+    flips = {}
+    if scene.reference.azimuth == 0.0 and any(CASE_TWINS[case] for case in cases):
+        flips = {h.mirrored().name: h for h in scene.heliostats}
+    positions = {entry.position for entry in schedule}
 
-    def mirror_group(slot):
-        # the first slot at the slot's sun or at its mirror image
-        return min(mirror[slot], mirror[mirror[slot]]) if slot in mirror else slot
+    def group(slot):
+        # a sun, its repeats and, where twins flip, its mirror image
+        sun = schedule[slot].position
+        return sun.elevation, abs(sun.azimuth) if flips else sun.azimuth
 
-    # The slots of a mirror group run back to back, and each group caches
-    # the facets and GRT maps of a (heliostat, slot) only while it runs.
-    ordered = sorted(range(len(schedule)), key=mirror_group)
-    for _, slots in itertools.groupby(ordered, key=mirror_group):
+    # The slots of a group run back to back, and each group caches the
+    # facets and GRT maps of a (heliostat, sun) only while it runs.
+    ordered = sorted(range(len(schedule)), key=group)
+    for _, slots in itertools.groupby(ordered, key=group):
         @functools.cache
-        def realized(h, slot):
+        def realized(h, sun):
             return {variant: realize_modules(h, layouts[h.name], report.cantings[h.name][variant],
-                                             schedule[slot].position) for variant in VARIANTS}
+                                             sun) for variant in VARIANTS}
 
         @functools.cache
-        def traced(h, slot):
-            return grt_pair(scene, h, realized(h, slot), schedule[slot].position)
+        def traced(h, sun):
+            return grt_pair(scene, h, realized(h, sun), sun)
 
         for it in slots:
             entry = schedule[it]
+            sun = entry.position
+            mirrored = replace(sun, azimuth=-sun.azimuth)
             single = {}  # drops the previous time's maps before computing new ones
             for name, h in report.heliostats.items():
                 own = single[name] = {}
                 if "grt" in engines:
-                    source, slot = flipped.get((name, it), (h, it))
-                    for variant, m in traced(source, slot).items():
+                    source = flips.get(name, h) if mirrored in positions else h
+                    for variant, m in traced(source, sun if source is h else mirrored).items():
                         own[(variant, "grt")] = m if source is h else replace(
-                            m, values=m.values[::-1, :], sun=entry.position,
-                            heliostat_ids=(name,))
+                            m, values=m.values[::-1, :], sun=sun, heliostat_ids=(name,))
                 if "conv" in engines:
-                    for variant, f in realized(h, it).items():
+                    for variant, f in realized(h, sun).items():
                         own[(variant, "conv")] = convolve_flux(
-                            f, entry.position, scene.sunshape, scene.receiver, dni=scene.dni,
+                            f, sun, scene.sunshape, scene.receiver, dni=scene.dni,
                             surface_samples=scene.surface_samples, heliostat_ids=(name,))
             for case in cases:
                 for variant in VARIANTS:

@@ -327,6 +327,19 @@ def test_facet_surface_normals_and_sag():
     assert sag == pytest.approx((u ** 2 + v ** 2) / 400.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("samples", [7, 32, 96])
+def test_facet_sample_grid_is_the_midpoint_meshgrid(samples):
+    # u runs along the first index and v along the second: the raveled
+    # "ij" meshgrid of the cell midpoints, bit for bit
+    facet = hf.Facet(centre=np.zeros(3), axes=np.eye(3), width=0.7, height=1.4,
+                     focal_length=None, reflectivity=1.0)
+    points, _, _ = facet.sample_grid(samples)
+    u = (np.arange(samples) + 0.5) * (0.7 / samples) - 0.35
+    v = (np.arange(samples) + 0.5) * (1.4 / samples) - 0.7
+    uu, vv = (g.ravel() for g in np.meshgrid(u, v, indexing="ij"))
+    assert np.array_equal(points[:, 1], uu) and np.array_equal(points[:, 2], vv)
+
+
 @pytest.mark.parametrize("focal_length", [math.inf, -math.inf, math.nan, 0.0, -5.0])
 def test_facet_rejects_a_focal_length_that_is_not_positive_and_finite(focal_length):
     # the spec's one-line error, before any sample grid holds NaN points

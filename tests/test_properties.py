@@ -8,11 +8,12 @@ sampling (odd and even sun-cone azimuth node counts) so the module stays
 fast.  With the mirror image in the schedule and the reference sun at
 azimuth 0, the pair case's twin GRT maps are flips of their heliostats'
 maps, so every property that runs a day course covers that path and its
-fallback to tracing.  The last
-property draws scenes that need not be valid: one heliostat 2-200 m away
-anywhere in front of the receiver, with any reflectivity in [0, 1], any
-DNI up to 2000 and either engine setting.  The examples are derandomized,
-so every run of the suite draws the same scenes.
+fallback to tracing.  The tangency property draws heliostat positions
+40-400 m away instead of scenes.  The last property draws scenes that need
+not be valid: one heliostat 2-200 m away anywhere in front of the
+receiver, with any reflectivity in [0, 1], any DNI up to 2000 and either
+engine setting.  The examples are derandomized, so every run of the suite
+draws the same scenes.
 """
 
 import collections
@@ -106,8 +107,8 @@ OFF_MERIDIAN = dataclasses.replace(FLIPPED,
                                    reference=hf.SunPosition(azimuth=10.0, elevation=44.63))
 NO_PAIR = dataclasses.replace(FLIPPED, cases=("single",))
 # the morning sun twice with an unmirrored sun between them, then the
-# afternoon sun: both mornings flip the one afternoon trace, the middle
-# twin is traced
+# afternoon sun: h1 is traced once at the morning sun, both mornings' twins
+# flip the one afternoon trace, and the middle twin is traced
 REPEATED = dataclasses.replace(FLIPPED, schedule=(
     FLIPPED.schedule[0],
     hf.ScheduleEntry(label="t01", position=hf.SunPosition(azimuth=10.0, elevation=50.0)),
@@ -117,12 +118,18 @@ REPEATED = dataclasses.replace(FLIPPED, schedule=(
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 
 
+def suns(scene):
+    """The schedule's distinct sun positions, in schedule order."""
+    return list(dict.fromkeys(entry.position for entry in scene.schedule))
+
+
 def flip_source(scene, entry):
     """Label of the entry whose GRT maps a twin's maps at ``entry`` flip, or None.
 
     The day course's rule, restated: the reference sun lies on the meridian
     and the mirror image of the entry's sun is exactly the position of an
-    entry (the first such one).
+    entry.  Maps depend only on the heliostat and the sun, so any entry at
+    the mirrored sun serves; this names the first.
     """
     if scene.reference.azimuth != 0.0:
         return None
@@ -199,9 +206,9 @@ def test_a_twin_is_traced_unless_its_grt_maps_are_flips(scene, twin_traces, monk
 
     monkeypatch.setattr(metrics, "trace_flux_grt", counting)
     _, maps = hf.day_course(scene, collect_maps=True)
-    # h1 at every time in both variants, once each, and the twin where not flipped
+    # h1 at every sun in both variants, once each, and the twin where not flipped
     assert collections.Counter(traced) == collections.Counter(
-        {("h1",): 2 * len(scene.schedule), ("h1_mirror",): twin_traces})
+        {("h1",): 2 * len(suns(scene)), ("h1_mirror",): twin_traces})
     assert_same_maps(maps, member_sum_maps(scene))
 
 
@@ -276,22 +283,47 @@ def realizations(monkeypatch):
 
 
 # table1's heliostat and its twin over the five hours, sampled coarsely: a
-# day course realizes them once per (heliostat, slot, variant), 20 times
+# day course realizes them once per (heliostat, sun, variant), 20 times
 TABLE1_DAY = dataclasses.replace(hf.load_config(hf.table1_scene_path()), surface_samples=2,
                                  radial_nodes=1, azimuth_nodes=4)
 
 
 @pytest.mark.parametrize("scene", [TABLE1_DAY, FLIPPED, REPEATED, ODD_NODES,
                                    dataclasses.replace(FLIPPED, engine="conv")])
-def test_a_day_course_realizes_each_heliostat_once_per_slot_and_variant(scene, monkeypatch):
+def test_a_day_course_realizes_each_heliostat_once_per_sun_and_variant(scene, monkeypatch):
     # A heliostat whose GRT maps a twin flips is realized once for its GRT
-    # pair, its conv maps and the twin's flip alike
+    # pair, its conv maps and the twin's flip alike, and once for a sun the
+    # schedule names twice
     calls = realizations(monkeypatch)
     report = hf.day_course(scene)
     assert collections.Counter((name, sun, id(canting)) for name, sun, canting, _ in calls) == \
-        collections.Counter((name, entry.position, id(report.cantings[name][variant]))
-                            for name in report.heliostats for entry in scene.schedule
+        collections.Counter((name, sun, id(report.cantings[name][variant]))
+                            for name in report.heliostats for sun in suns(scene)
                             for variant in VARIANTS)
+
+
+@pytest.mark.parametrize("scene", [REPEATED, dataclasses.replace(REPEATED, cases=("single",))])
+def test_a_sun_the_schedule_names_twice_is_realized_and_traced_once(scene, monkeypatch):
+    # REPEATED names the morning sun at t00 and t02, with and without twins:
+    # both entries read the maps of one realization and one trace of h1
+    calls = realizations(monkeypatch)
+    traced = []
+    trace = metrics.trace_flux_grt
+
+    def counting(facets, sun, *args, **kwargs):
+        traced.append((kwargs["heliostat_ids"], sun))
+        return trace(facets, sun, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "trace_flux_grt", counting)
+    _, maps = hf.day_course(scene, collect_maps=True)
+    twice = collections.Counter({sun: 2 for sun in suns(scene)})  # once per variant
+    assert collections.Counter(sun for ids, sun in traced if ids == ("h1",)) == twice
+    assert collections.Counter(sun for name, sun, _, _ in calls if name == "h1") == twice
+    sun_of = {entry.label: entry.position for entry in scene.schedule}
+    for (label, *rest), flux_map in maps.items():
+        for other in scene.schedule:
+            if other.position == sun_of[label]:
+                assert_same_maps({label: maps[(other.label, *rest)]}, {label: flux_map})
 
 
 @pytest.mark.parametrize("scene", [TABLE1_DAY, FLIPPED, REPEATED, NO_PAIR])
@@ -468,6 +500,46 @@ def test_maps_in_suns_do_not_depend_on_dni(scene, dni):
     assert report.engine_rms == unit.engine_rms
     if scene is SPILLING_NOON:
         assert spilled > 0.0
+
+
+EQUINOX_NOON = hf.ideal_equinox_position(45.37, 12.0)
+
+
+def worst_centre_miss(h, variant, scale):
+    """Worst distance from the receiver centre at which the reference sun,
+    reflected about each facet's axis at its centre, crosses x' = 0, with
+    every module offset of ``h`` scaled by ``scale``."""
+    centres = hf.module_centres(h)
+    layout = hf.ModuleLayout(y=scale * centres.y, z=scale * centres.z)
+    canting = frozen_cantings(h, layout, EQUINOX_NOON)[variant]
+    sun = hf.sun_vector(EQUINOX_NOON)
+    misses = []
+    for facet in hf.realize_modules(h, layout, canting, EQUINOX_NOON):
+        ray = hf.reflect(sun, facet.axes[:, 0])
+        land = facet.centre - facet.centre[0] / ray[0] * ray
+        misses.append(math.hypot(land[1], land[2]))
+    return max(misses)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.floats(40.0, 400.0), st.floats(-80.0, 80.0), st.floats(-30.0, 30.0))
+def test_off_axis_canting_is_tangent_to_the_paraboloid(distance, azimuth, elevation):
+    # The paper's claim: off-axis canting sets every module tangent to the
+    # paraboloid focused on the receiver along the reference sun, spherical
+    # canting does not.  So as the module offsets scale by lambda, the
+    # module-centre rays miss the receiver centre by O(lambda^2) for
+    # off-axis canting (tangent to first order) and by O(lambda) for
+    # spherical canting.  The order is read between lambda = 1/2 and 1/4:
+    # between 1 and 1/2 the next term lifts spherical canting's order to
+    # 1.25 at 40 m and 80 degrees azimuth.  At these positions the reference
+    # incidence is 7 degrees or more; near 0 spherical canting is tangent too.
+    az, el = math.radians(azimuth), math.radians(elevation)
+    h = hf.HeliostatSpec(name="h", position=(distance * math.cos(el) * math.cos(az),
+                                             distance * math.cos(el) * math.sin(az),
+                                             distance * math.sin(el)))
+    order = {variant: math.log2(worst_centre_miss(h, variant, 0.5)
+                                / worst_centre_miss(h, variant, 0.25)) for variant in VARIANTS}
+    assert order["off_axis"] >= 1.95 and order["spherical"] <= 1.2, order
 
 
 @st.composite
