@@ -52,6 +52,11 @@ class FluxMap:
     def __post_init__(self):
         self.values.setflags(write=False)
 
+    def __setstate__(self, state):
+        # unpickling, of a map traced in a worker process say, skips __init__
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @property
     def total_power(self):
         """On-grid power: watts when DNI is given in W/m^2."""
@@ -61,13 +66,11 @@ class FluxMap:
 # Rays per chunk of the ray loop: enough to amortise numpy's per-call cost,
 # few enough that a chunk's temporaries and its deposit stay in cache.
 # Chunks are whole sample rows, so the one-direction spot path traces a facet
-# in one chunk.  ``metrics.grt_pair`` traces two maps at once on two
-# threads, which share the GIL between numpy calls: the longer each call
-# runs, the less they wait for it.  On table1's 10 GRT maps (2-core x86-64,
-# numpy 2.4, medians of 8 runs in two alternating rounds), serial traces take
-# 1.45 s at 16 K rays per chunk, 1.15 s at 32 K, 1.18 s at 64 K and 1.45 s
-# at 128 K; paired traces 1.60, 1.08, 0.93 and 0.97 s.  On one core paired
-# 64 K traces took 1.13 s against 1.09 s for serial 32 K ones.
+# in one chunk.  The chunk size does not change a map's bytes.  On table1's 10
+# GRT maps (2-core x86-64, numpy 2.4, medians of 6 alternating runs), serial
+# traces take 1.53 s at 16 K rays per chunk, 1.49 s at 32 K, 1.49 s at 64 K
+# and 1.67 s at 128 K; ``metrics.grt_pair``'s process pair 0.86, 0.79, 0.81
+# and 0.92 s.  On one core the pair took 1.16 s at 32 K and 1.15 s at 64 K.
 _CHUNK_RAYS = 65536
 
 

@@ -7,6 +7,7 @@ the one computed for the reference sun; the off-axis optimization is a
 one-time re-alignment, not a per-time adjustment.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -124,39 +125,62 @@ def frozen_cantings(h, layout, reference):
                                          h.slant_distance)}
 
 
-def grt_pair(scene, h, facets, sun):
+def grt_worker():
+    """A one-process pool for ``grt_pair``, forked from the caller when
+    first used; a null context that gives None, so that ``grt_pair`` traces
+    serially, where the platform cannot fork or another thread is running.
+
+    A forked worker starts with the caller's numpy error handling and ufunc
+    buffer size, and without the fresh import of numpy and helioflux
+    (~0.1 s) that a spawned one needs.  Forking a process while another of
+    its threads runs can leave a lock held for good in the child, hence the
+    thread condition; the pool starts its own threads only after the fork.
+    Leaving the pool's ``with`` block waits for the worker to end and joins
+    it and the pool's threads.
+    """
+    # imported here: a conv run imports neither, and importing them slows importing helioflux
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+
+
+def _grt(scene, h, facets, sun):
+    # module level, so that it is sent to a worker process by name.  It looks
+    # trace_flux_grt up when called, so a wrapper installed before the fork,
+    # which cannot be pickled, runs in the worker too.
+    return trace_flux_grt(facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                          surface_samples=scene.surface_samples,
+                          radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
+                          heliostat_ids=(h.name,))
+
+
+def grt_pair(scene, h, facets, sun, worker=None):
     """One heliostat's GRT maps at ``sun``, keyed by variant, from its
     realized ``facets`` per variant.
 
-    The off-axis map traces on a one-worker executor's thread while the
-    spherical one traces on the calling thread; numpy releases the GIL
-    inside the ray loop's ufuncs, so the two share the cores.  Each map
-    sums its own rays in the same order as a serial trace, so the maps are
-    bit-identical to serial ones.  The worker starts with the caller's
-    numpy error handling and ufunc buffer size, which numpy keeps per
-    thread; the caller's own state is not touched.  An error in either
-    call propagates once the worker has ended, the calling thread's first.
+    With a ``worker`` from ``grt_worker``, the off-axis map traces in the
+    worker process while the spherical one traces on the calling thread, so
+    the two share the cores; without one, both trace on the calling thread.
+    Each map sums its own rays in the same order as a serial trace, so the
+    maps are bit-identical to serial ones.  An error in either call
+    propagates, the calling thread's first; a worker that dies before its
+    map is back raises HelioFluxError.
     """
-    # imported here: concurrent.futures imports logging, which slows importing helioflux
-    from concurrent.futures import ThreadPoolExecutor
+    if worker is None:
+        return {variant: _grt(scene, h, facets[variant], sun) for variant in VARIANTS}
+    from concurrent.futures import BrokenExecutor
 
-    err, call, bufsize = np.geterr(), np.geterrcall(), np.getbufsize()
-
-    def numpy_state():
-        np.seterr(**err)
-        np.seterrcall(call)
-        np.setbufsize(bufsize)
-
-    def grt(variant):
-        return trace_flux_grt(
-            facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
-            surface_samples=scene.surface_samples,
-            radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
-            heliostat_ids=(h.name,))
-
-    with ThreadPoolExecutor(1, "helioflux", initializer=numpy_state) as worker:
-        off_axis = worker.submit(grt, "off_axis")
-        return {"spherical": grt("spherical"), "off_axis": off_axis.result()}
+    off_axis = worker.submit(_grt, scene, h, facets["off_axis"], sun)
+    spherical = _grt(scene, h, facets["spherical"], sun)
+    try:
+        return {"spherical": spherical, "off_axis": off_axis.result()}
+    except BrokenExecutor as exc:
+        raise HelioFluxError(f"the GRT worker process of heliostat {h.name!r} ended "
+                             "before its map was traced") from exc
 
 
 def day_course(scene, collect_maps=False):
@@ -165,10 +189,13 @@ def day_course(scene, collect_maps=False):
     Canting sets are computed once per heliostat from the scene reference
     sun and reused across all times.  A flux map depends only on the
     heliostat and the sun, so each heliostat's facets are realized once per
-    (sun, variant), however often the schedule names that sun; its conv maps
-    are convolved from them, and its GRT maps are traced from them as a pair
-    on two threads (``grt_pair``), bit-identical to serial traces, once per
-    sun.
+    (sun, variant), however often the schedule names that sun, and its conv
+    maps are convolved and its GRT maps traced from them once per sun.  The
+    GRT maps are traced as a pair (``grt_pair``), bit-identical to serial
+    traces: when the engines include GRT, the day course forks one worker
+    process (``grt_worker``) that traces every off-axis map while this
+    process traces the spherical ones.  It joins the worker before it
+    returns or raises; a worker that dies raises HelioFluxError.
 
     With the reference sun on the meridian (azimuth 0.0), the X'-mirror
     twin of a heliostat at sun (az, el) sees the mirror image of that
@@ -225,51 +252,59 @@ def day_course(scene, collect_maps=False):
         return sun.elevation, abs(sun.azimuth) if flips else sun.azimuth
 
     # The slots of a group run back to back, and each group caches the
-    # facets and GRT maps of a (heliostat, sun) only while it runs.
+    # facets and maps of a (heliostat, sun) only while it runs.
     ordered = sorted(range(len(schedule)), key=group)
-    for _, slots in itertools.groupby(ordered, key=group):
-        @functools.cache
-        def realized(h, sun):
-            return {variant: realize_modules(h, layouts[h.name], report.cantings[h.name][variant],
-                                             sun) for variant in VARIANTS}
+    with (grt_worker() if "grt" in engines else contextlib.nullcontext()) as worker:
+        for _, slots in itertools.groupby(ordered, key=group):
+            @functools.cache
+            def realized(h, sun):
+                return {variant: realize_modules(h, layouts[h.name],
+                                                 report.cantings[h.name][variant], sun)
+                        for variant in VARIANTS}
 
-        @functools.cache
-        def traced(h, sun):
-            return grt_pair(scene, h, realized(h, sun), sun)
+            @functools.cache
+            def traced(h, sun):
+                return grt_pair(scene, h, realized(h, sun), sun, worker)
 
-        for it in slots:
-            entry = schedule[it]
-            sun = entry.position
-            mirrored = replace(sun, azimuth=-sun.azimuth)
-            single = {}  # drops the previous time's maps before computing new ones
-            for name, h in report.heliostats.items():
-                own = single[name] = {}
-                if "grt" in engines:
-                    source = flips.get(name, h) if mirrored in positions else h
-                    for variant, m in traced(source, sun if source is h else mirrored).items():
-                        own[(variant, "grt")] = m if source is h else replace(
-                            m, values=m.values[::-1, :], sun=sun, heliostat_ids=(name,))
-                if "conv" in engines:
-                    for variant, f in realized(h, sun).items():
-                        own[(variant, "conv")] = convolve_flux(
-                            f, sun, scene.sunshape, scene.receiver, dni=scene.dni,
-                            surface_samples=scene.surface_samples, heliostat_ids=(name,))
-            for case in cases:
-                for variant in VARIANTS:
-                    case_maps, peaks = {}, {}
-                    for eng in engines:
-                        combined = case_maps[eng] = functools.reduce(
-                            map_add, (single[h.name][(variant, eng)] for h in members[case]))
-                        peaks[eng] = concentration_ratio(combined)
-                        if collect_maps:
-                            maps[(entry.label, variant, case, eng)] = combined
-                    if len(engines) == 2:
-                        diff = case_maps["conv"].values - case_maps["grt"].values
-                        rms = math.sqrt(float((diff * diff).mean()))
-                        report.engine_rms[(entry.label, variant, case)] = rms / peaks["grt"]
-                    report.peak[(case, variant)][it] = peaks[report.engine]
-                    report.intercepted[(case, variant)][it] = intercepted_power(
-                        case_maps[report.engine], scene.receiver.diameter)
+            @functools.cache
+            def convolved(h, sun):
+                return {variant: convolve_flux(f, sun, scene.sunshape, scene.receiver,
+                                               dni=scene.dni,
+                                               surface_samples=scene.surface_samples,
+                                               heliostat_ids=(h.name,))
+                        for variant, f in realized(h, sun).items()}
+
+            for it in slots:
+                entry = schedule[it]
+                sun = entry.position
+                mirrored = replace(sun, azimuth=-sun.azimuth)
+                single = {}  # drops the previous time's maps before computing new ones
+                for name, h in report.heliostats.items():
+                    own = single[name] = {}
+                    if "grt" in engines:
+                        source = flips.get(name, h) if mirrored in positions else h
+                        for variant, m in traced(source, sun if source is h else mirrored).items():
+                            own[(variant, "grt")] = m if source is h else replace(
+                                m, values=m.values[::-1, :], sun=sun, heliostat_ids=(name,))
+                    if "conv" in engines:
+                        for variant, m in convolved(h, sun).items():
+                            own[(variant, "conv")] = m
+                for case in cases:
+                    for variant in VARIANTS:
+                        case_maps, peaks = {}, {}
+                        for eng in engines:
+                            combined = case_maps[eng] = functools.reduce(
+                                map_add, (single[h.name][(variant, eng)] for h in members[case]))
+                            peaks[eng] = concentration_ratio(combined)
+                            if collect_maps:
+                                maps[(entry.label, variant, case, eng)] = combined
+                        if len(engines) == 2:
+                            diff = case_maps["conv"].values - case_maps["grt"].values
+                            rms = math.sqrt(float((diff * diff).mean()))
+                            report.engine_rms[(entry.label, variant, case)] = rms / peaks["grt"]
+                        report.peak[(case, variant)][it] = peaks[report.engine]
+                        report.intercepted[(case, variant)][it] = intercepted_power(
+                            case_maps[report.engine], scene.receiver.diameter)
 
     for case in cases:
         report.gain[case] = (report.peak[(case, "off_axis")]

@@ -5,9 +5,12 @@ part of the suite, so it runs once per session and every test that needs
 maps or report figures reads from it.
 """
 
+import pickle
+
 import pytest
 
 import helioflux as hf
+from helioflux import metrics
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +38,44 @@ def noon_maps(table1_run):
             for variant in ("spherical", "off_axis")
             for case in ("single", "symmetric_pair")
             for engine in ("grt", "conv")}
+
+
+class SharedLog:
+    """Pickled records appended to a file, each in one write, so that a
+    process forked from this one, such as a GRT worker, adds to it too.
+    Read it once that process has ended."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def append(self, record):
+        with open(self.path, "ab") as fh:
+            fh.write(pickle.dumps(record))
+
+    def read(self):
+        records = []
+        with open(self.path, "rb") as fh:
+            while fh.peek(1):
+                records.append(pickle.load(fh))
+        return records
+
+
+@pytest.fixture
+def shared_log(tmp_path):
+    return SharedLog(tmp_path / "shared.log")
+
+
+@pytest.fixture
+def grt_traces(monkeypatch, shared_log):
+    """A reader of every ``metrics.trace_flux_grt`` call from now on, as
+    (heliostat ids, sun), whether it ran in this process or in a GRT worker
+    process forked from it."""
+    trace = metrics.trace_flux_grt
+
+    def recording(facets, sun, *args, **kwargs):
+        shared_log.append((kwargs["heliostat_ids"], sun))
+        return trace(facets, sun, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "trace_flux_grt", recording)
+    return shared_log.read

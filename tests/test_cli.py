@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, errors, determinism on a reduced scene."""
 
 import filecmp
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -116,7 +117,8 @@ def test_run_records_engine_rms_with_both_engines(fast_scene, tmp_path):
 
 def test_a_conv_run_writes_the_conv_files_of_a_both_run(fast_scene, tmp_path):
     # conv maps and the report they feed do not depend on the GRT pair traced
-    # beside them on the worker thread; only the manifest names the engine
+    # beside them, half of it in the worker process; only the manifest names
+    # the engine
     conv, both = str(tmp_path / "conv"), str(tmp_path / "both")
     assert main(["run", fast_scene, "--engine", "conv", "--out", conv]) == 0
     assert main(["run", fast_scene, "--engine", "both", "--out", both]) == 0
@@ -310,21 +312,39 @@ def test_run_removes_written_artifacts_when_a_writer_fails(fast_scene, tmp_path,
     assert not os.listdir(out_dir)
 
 
+class TraceFailed(HelioFluxError):
+    """A trace's error that pickles by reference, so that the one a GRT
+    worker process raises reaches the caller as the very same object."""
+
+    def __reduce__(self):
+        return "TRACE_FAILED"
+
+
+TRACE_FAILED = TraceFailed("trace failed")
+
+
+def assert_nothing_left(threads):
+    # a day course joins its GRT worker process and the pool's threads
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_a_failing_grt_thread_ends_the_run_like_a_serial_failure(failing, fast_scene,
                                                                  tmp_path, monkeypatch,
-                                                                 capsys):
-    # grt_pair traces one variant's GRT map on a worker thread while
-    # the calling thread traces the other, both with the caller's numpy
-    # state; an error on either leaves it once both have ended, with the
-    # caller's state as it was
-    error = HelioFluxError("trace failed")
+                                                                 capsys, shared_log):
+    # grt_pair traces one variant's GRT map in a worker process forked with
+    # the caller's numpy state while the caller traces the other; an error
+    # on either leaves it, with the caller's state as it was, and once the
+    # worker has ended nothing of it is left.  Each call logs its numpy
+    # state, the worker's reaching this process through the shared log.
+    error = TRACE_FAILED
     trace = metrics.trace_flux_grt
-    seen = []
+    caller = os.getpid()
 
     def failing_trace(*args, **kwargs):
-        seen.append((np.getbufsize(), np.geterr()))
-        on_worker = threading.current_thread() is not threading.main_thread()
+        shared_log.append((np.getbufsize(), np.geterr()))
+        on_worker = os.getpid() != caller
         if on_worker == (failing == "worker"):
             raise error
         return trace(*args, **kwargs)
@@ -343,17 +363,42 @@ def test_a_failing_grt_thread_ends_the_run_like_a_serial_failure(failing, fast_s
         try:
             state = (np.getbufsize(), np.geterr())
             with pytest.raises(HelioFluxError) as raised:
-                metrics.grt_pair(config, h, facets, sun)
+                with metrics.grt_worker() as worker:
+                    metrics.grt_pair(config, h, facets, sun, worker)
             assert raised.value is error
-            assert threading.active_count() == threads
+            assert_nothing_left(threads)
             assert (np.getbufsize(), np.geterr()) == state
-            assert seen == [state, state]
+            assert shared_log.read() == [state, state]
         finally:
             np.setbufsize(bufsize)
     out_dir = tmp_path / "partial"
     assert main(["run", fast_scene, "--engine", "both", "--out", str(out_dir)]) == 1
-    assert capsys.readouterr().err == "error: HelioFluxError: trace failed\n"
-    assert threading.active_count() == threads
+    assert capsys.readouterr().err == "error: TraceFailed: trace failed\n"
+    assert_nothing_left(threads)
+    assert not os.listdir(out_dir)
+
+
+def test_a_dead_grt_worker_ends_the_run_like_a_failure(fast_scene, tmp_path, monkeypatch,
+                                                       capsys):
+    # the worker process dies, as if killed, in its first trace; the forked
+    # worker inherits this patch, the caller's traces go through
+    trace = metrics.trace_flux_grt
+    caller = os.getpid()
+
+    def dying_trace(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(1)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "trace_flux_grt", dying_trace)
+    threads = threading.active_count()
+    out_dir = tmp_path / "partial"
+    assert main(["run", fast_scene, "--engine", "both", "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: HelioFluxError: the GRT worker process of heliostat 'h1' "
+                          "ended before its map was traced")
+    assert_nothing_left(threads)
     assert not os.listdir(out_dir)
 
 

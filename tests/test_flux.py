@@ -546,14 +546,15 @@ scene = hf.load_config(hf.table1_scene_path())
 scene = hf.with_overrides(scene, engine="conv", grid_cells=64, surface_samples=4)
 hf.day_course(dataclasses.replace(scene, schedule=scene.schedule[2:3], cases=("single",)))
 print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"
-               or m == "concurrent.futures"))
+               or m in ("concurrent.futures", "multiprocessing")))
 """
 
 
 def test_package_runs_without_scipy(tmp_path):
     # a fresh interpreter, since this one has scipy loaded; point it at the
     # package under test.  A conv run loads neither scipy nor
-    # concurrent.futures, which only the GRT worker imports.
+    # concurrent.futures and multiprocessing, which only the GRT worker
+    # imports.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))

@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import math
+import multiprocessing
+import threading
 import tracemalloc
 import weakref
 
@@ -176,6 +178,57 @@ def test_a_day_course_frees_grt_maps_once_their_mirror_group_ends(table1_config,
     metrics.day_course(scene, collect_maps=False)
     assert len(traced) == 18
     assert max(alive) <= 4, alive
+
+
+def small_day(table1_config, engine):
+    """The bundled scene's day on a coarse grid and quadrature."""
+    return dataclasses.replace(hf.with_overrides(table1_config, engine=engine, grid_cells=64,
+                                                 surface_samples=4),
+                               radial_nodes=2, azimuth_nodes=8)
+
+
+def test_every_map_of_a_both_day_course_is_read_only(table1_config, monkeypatch):
+    # grt_pair's off-axis maps come back from the worker process unpickled,
+    # which skips FluxMap.__init__; they are read-only like every other map
+    pair = metrics.grt_pair
+    paired = []
+
+    def keeping(*args):
+        maps = pair(*args)
+        paired.extend(maps.values())
+        return maps
+
+    monkeypatch.setattr(metrics, "grt_pair", keeping)
+    _, maps = hf.day_course(small_day(table1_config, "both"), collect_maps=True)
+    assert len(paired) == 10 and len(maps) == 40
+    for flux_map in paired + list(maps.values()):
+        assert flux_map.values.flags.writeable is False
+
+
+@pytest.mark.parametrize("engine", metrics.ENGINES)
+def test_a_day_course_leaves_no_process_or_thread_behind(engine, table1_config):
+    # a GRT day course joins its worker process and the pool's threads;
+    # test_cli covers day courses that fail on either side or lose the worker
+    threads = threading.active_count()
+    hf.day_course(small_day(table1_config, engine))
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def test_no_grt_worker_is_forked_beside_another_thread():
+    # the forked child would hold the other thread's locks as they were
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        with metrics.grt_worker() as worker:
+            assert worker is None
+    finally:
+        done.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    with metrics.grt_worker() as worker:
+        assert worker is not None
 
 
 def test_repeated_conv_day_courses_leave_nothing_behind(table1_config, monkeypatch):

@@ -20,7 +20,6 @@ import collections
 import dataclasses
 import functools
 import math
-import sys
 import tempfile
 
 import numpy as np
@@ -196,18 +195,11 @@ def test_pair_map_is_single_map_plus_twin_maps(scene):
 @pytest.mark.parametrize("scene, twin_traces", [
     (FLIPPED, 0), (dataclasses.replace(FLIPPED, engine="grt"), 0),
     (ONE_ULP_OFF, 4), (OFF_MERIDIAN, 4), (NO_PAIR, 0), (ODD_NODES, 0), (REPEATED, 2)])
-def test_a_twin_is_traced_unless_its_grt_maps_are_flips(scene, twin_traces, monkeypatch):
-    traced = []
-    trace = metrics.trace_flux_grt
-
-    def counting(*args, **kwargs):
-        traced.append(kwargs["heliostat_ids"])
-        return trace(*args, **kwargs)
-
-    monkeypatch.setattr(metrics, "trace_flux_grt", counting)
+def test_a_twin_is_traced_unless_its_grt_maps_are_flips(scene, twin_traces, grt_traces):
     _, maps = hf.day_course(scene, collect_maps=True)
-    # h1 at every sun in both variants, once each, and the twin where not flipped
-    assert collections.Counter(traced) == collections.Counter(
+    # h1 at every sun in both variants, once each, and the twin where not
+    # flipped, on either side of the GRT pair
+    assert collections.Counter(ids for ids, _ in grt_traces()) == collections.Counter(
         {("h1",): 2 * len(suns(scene)), ("h1_mirror",): twin_traces})
     assert_same_maps(maps, member_sum_maps(scene))
 
@@ -231,40 +223,40 @@ def test_day_course_is_bit_identical_when_repeated(scene):
 @example(dataclasses.replace(TABLE1_NOON, surface_samples=12, radial_nodes=24,
                              azimuth_nodes=48))
 def test_paired_grt_maps_equal_serial_traces(scene):
-    # grt_pair traces the two variants' GRT maps on two threads.  Each
-    # map must equal its own serial trace bit for bit however the threads
-    # interleave, so they switch as often as the interpreter lets them.
-    # The day course builds conv maps serially from the facets it traces
-    # the GRT pair from: each single-case conv map equals a serial
-    # convolve_flux of those facets.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    # grt_pair traces the off-axis GRT map in a worker process while the
+    # calling process traces the spherical one.  Each map must equal its own
+    # serial trace bit for bit, and so must the pair that grt_pair traces
+    # serially without a worker.  The day course builds conv maps serially
+    # from the facets it traces the GRT pair from: each single-case conv map
+    # equals a serial convolve_flux of those facets.
+    # the day courses run before this worker's threads start, since beside
+    # other threads a day course forks no worker of its own
+    alone = {h.name: hf.day_course(dataclasses.replace(scene, heliostats=(h,), cases=("single",)),
+                                   collect_maps=True)[1] for h in scene.heliostats}
+    with metrics.grt_worker() as worker:
         for h in scene.heliostats:
             layout = hf.module_centres(h)
             cantings = frozen_cantings(h, layout, scene.reference)
-            _, maps = hf.day_course(dataclasses.replace(scene, heliostats=(h,),
-                                                        cases=("single",)), collect_maps=True)
             for entry in scene.schedule:
                 sun = entry.position
                 facets = {variant: hf.realize_modules(h, layout, cantings[variant], sun)
                           for variant in VARIANTS}
-                paired = metrics.grt_pair(scene, h, facets, sun)
+                paired = metrics.grt_pair(scene, h, facets, sun, worker)
+                unpaired = metrics.grt_pair(scene, h, facets, sun)
                 for variant in VARIANTS:
                     serial = {"grt": hf.trace_flux_grt(
                         facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
                         surface_samples=scene.surface_samples,
                         radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
                         heliostat_ids=(h.name,))}
+                    assert_same_maps({"grt": unpaired[variant]}, serial)
                     got = {"grt": paired[variant]}
                     if "conv" in ENGINES[scene.engine]:
                         serial["conv"] = hf.convolve_flux(
                             facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
                             surface_samples=scene.surface_samples, heliostat_ids=(h.name,))
-                        got["conv"] = maps[(entry.label, variant, "single", "conv")]
+                        got["conv"] = alone[h.name][(entry.label, variant, "single", "conv")]
                     assert_same_maps(got, serial)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def realizations(monkeypatch):
@@ -303,21 +295,14 @@ def test_a_day_course_realizes_each_heliostat_once_per_sun_and_variant(scene, mo
 
 
 @pytest.mark.parametrize("scene", [REPEATED, dataclasses.replace(REPEATED, cases=("single",))])
-def test_a_sun_the_schedule_names_twice_is_realized_and_traced_once(scene, monkeypatch):
+def test_a_sun_the_schedule_names_twice_is_realized_and_traced_once(scene, monkeypatch,
+                                                                    grt_traces):
     # REPEATED names the morning sun at t00 and t02, with and without twins:
     # both entries read the maps of one realization and one trace of h1
     calls = realizations(monkeypatch)
-    traced = []
-    trace = metrics.trace_flux_grt
-
-    def counting(facets, sun, *args, **kwargs):
-        traced.append((kwargs["heliostat_ids"], sun))
-        return trace(facets, sun, *args, **kwargs)
-
-    monkeypatch.setattr(metrics, "trace_flux_grt", counting)
     _, maps = hf.day_course(scene, collect_maps=True)
     twice = collections.Counter({sun: 2 for sun in suns(scene)})  # once per variant
-    assert collections.Counter(sun for ids, sun in traced if ids == ("h1",)) == twice
+    assert collections.Counter(sun for ids, sun in grt_traces() if ids == ("h1",)) == twice
     assert collections.Counter(sun for name, sun, _, _ in calls if name == "h1") == twice
     sun_of = {entry.label: entry.position for entry in scene.schedule}
     for (label, *rest), flux_map in maps.items():
@@ -327,11 +312,11 @@ def test_a_sun_the_schedule_names_twice_is_realized_and_traced_once(scene, monke
 
 
 @pytest.mark.parametrize("scene", [TABLE1_DAY, FLIPPED, REPEATED, NO_PAIR])
-def test_a_conv_day_course_builds_one_kernel_per_heliostat_and_slot(scene, monkeypatch):
+def test_a_conv_day_course_builds_one_kernel_per_heliostat_and_sun(scene, monkeypatch):
     # The two canting variants have the same facet centres, so the same
     # kernel (test_both_variants_realize_the_same_facet_centres): the day
     # course convolves them back to back, and the second call reuses the
-    # first's kernel
+    # first's kernel.  A sun the schedule names twice is convolved once.
     scene = dataclasses.replace(scene, engine="conv")
     calls = collections.Counter()
 
@@ -348,7 +333,7 @@ def test_a_conv_day_course_builds_one_kernel_per_heliostat_and_slot(scene, monke
     counting(metrics, "convolve_flux")
     flux._last_kernel.cache_clear()
     report = hf.day_course(scene)
-    assert calls["build_kernel"] == len(report.heliostats) * len(scene.schedule)
+    assert calls["build_kernel"] == len(report.heliostats) * len(suns(scene))
     assert calls["convolve_flux"] == 2 * calls["build_kernel"]
 
 
