@@ -6,20 +6,24 @@
 A run writes, into the output directory: a canting table per heliostat, a
 flux map (CSV and 16-bit graymap) per time/variant/case/engine, the
 concentration report, and a manifest echoing every effective parameter.
-Identical configurations produce bit-identical artifacts.  On failure the
-partial outputs are removed, a single-line ``error: ...`` goes to stderr
-and the exit status is nonzero.  A reader that closes the echo's pipe early
-is no failure.
+Identical configurations produce bit-identical artifacts.  A run whose
+engines include GRT uses two processes where the platform can fork: a GRT
+worker traces the off-axis maps during the day course, then a writer
+writes their files while this process writes the rest; a conv run stays in
+this process.  On failure the partial outputs are removed, a single-line
+``error: ...`` goes to stderr and the exit status is nonzero.  A reader
+that closes the echo's pipe early is no failure.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 
 from .errors import HelioFluxError
 from .heliostat import module_centres
-from .metrics import ENGINES, day_course
+from .metrics import ENGINES, day_course, grt_worker, may_fork
 from .scene import load_config, with_overrides
 from . import fileio
 
@@ -41,8 +45,74 @@ def build_parser():
     return parser
 
 
+def _stem(key):
+    label, variant, case, engine = key
+    return f"flux_{label}_{variant}_{case}_{engine}"
+
+
+def _write_flux_files(files, sender):
+    # the forked writer's work: the CSV and graymap of each (map, CSV path,
+    # graymap path) of ``files``, then None, or the error that stopped it,
+    # sent through the pipe
+    try:
+        for flux_map, csv_path, pgm_path in files:
+            fileio.write_flux_csv(flux_map, csv_path)
+            fileio.write_flux_pgm(flux_map, pgm_path)
+    except BaseException as exc:
+        outcome = exc
+    else:
+        outcome = None
+    try:
+        sender.send(outcome)
+    except Exception:  # an error that does not pickle
+        sender.send(HelioFluxError(f"{type(outcome).__name__}: {outcome}"))
+
+
+@contextlib.contextmanager
+def _flux_writer(files):
+    """Write the maps of ``files`` in a forked process while the ``with``
+    block runs.
+
+    The maps reach the child by fork, copy-on-write, and are never pickled.
+    Leaving the block, however it is left, waits for the child to end.  An
+    error that the child raised is then raised here, unless the block
+    raised one of its own; a child that died raises HelioFluxError.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    reader, sender = context.Pipe(duplex=False)
+    with reader:
+        with sender:  # the child's end: closed here once the child has it
+            child = context.Process(target=_write_flux_files, args=(files, sender))
+            child.start()
+        try:
+            yield
+        finally:
+            try:
+                outcome = reader.recv()
+            except EOFError:
+                outcome = HelioFluxError("the flux writer process ended before it "
+                                         "wrote its maps")
+            finally:
+                child.join()
+    if outcome is not None:
+        raise outcome
+
+
 def run(config):
-    """Execute the scene and write the artifact set; returns written paths."""
+    """Execute the scene and write the artifact set; returns written paths.
+
+    A run whose engines include GRT opens the GRT worker process
+    (``grt_worker``) for its day course.  Once the day course has returned
+    and the worker has ended, where ``may_fork`` allows, it forks one writer
+    process that writes the CSV and graymap of every off-axis map while
+    this process writes the spherical ones, the canting tables, the report
+    and the manifest.  The files are those of a serial run, byte for byte.
+    This process names every path, the writer's too, so on any failure it
+    waits for the writer to end and then removes each file of the run.  A
+    conv run forks nothing.
+    """
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -53,22 +123,29 @@ def run(config):
         return path
 
     try:
-        report, maps = day_course(config, collect_maps=True)
+        grt = "grt" in ENGINES[config.engine]
+        with (grt_worker() if grt else contextlib.nullcontext()) as worker:
+            report, maps = day_course(config, collect_maps=True, worker=worker)
 
-        for name in sorted(report.heliostats):
-            cantings = report.cantings[name]
-            fileio.write_canting_csv(module_centres(report.heliostats[name]),
-                                     cantings["spherical"], cantings["off_axis"],
-                                     target(f"canting_{name}.csv"))
+        keys, forked = sorted(maps), []
+        if grt and may_fork():
+            forked = [key for key in keys if key[1] == "off_axis"]
+            keys = [key for key in keys if key[1] != "off_axis"]
+        files = [(maps[key], target(_stem(key) + ".csv"), target(_stem(key) + ".pgm"))
+                 for key in forked]
+        with (_flux_writer(files) if files else contextlib.nullcontext()):
+            for name in sorted(report.heliostats):
+                cantings = report.cantings[name]
+                fileio.write_canting_csv(module_centres(report.heliostats[name]),
+                                         cantings["spherical"], cantings["off_axis"],
+                                         target(f"canting_{name}.csv"))
 
-        for key in sorted(maps):
-            label, variant, case, engine = key
-            stem = f"flux_{label}_{variant}_{case}_{engine}"
-            fileio.write_flux_csv(maps[key], target(stem + ".csv"))
-            fileio.write_flux_pgm(maps[key], target(stem + ".pgm"))
+            for key in keys:
+                fileio.write_flux_csv(maps[key], target(_stem(key) + ".csv"))
+                fileio.write_flux_pgm(maps[key], target(_stem(key) + ".pgm"))
 
-        fileio.write_concentration_csv(report, target("concentration.csv"))
-        fileio.write_manifest(config, report, target("manifest.txt"))
+            fileio.write_concentration_csv(report, target("concentration.csv"))
+            fileio.write_manifest(config, report, target("manifest.txt"))
     except BaseException:
         for path in written:
             if os.path.exists(path):

@@ -125,26 +125,38 @@ def frozen_cantings(h, layout, reference):
                                          h.slant_distance)}
 
 
-def grt_worker():
-    """A one-process pool for ``grt_pair``, forked from the caller when
-    first used; a null context that gives None, so that ``grt_pair`` traces
-    serially, where the platform cannot fork or another thread is running.
+def may_fork():
+    """Whether this process may fork a helper process: the platform has the
+    "fork" start method and no other Python thread is running.
 
-    A forked worker starts with the caller's numpy error handling and ufunc
-    buffer size, and without the fresh import of numpy and helioflux
-    (~0.1 s) that a spawned one needs.  Forking a process while another of
-    its threads runs can leave a lock held for good in the child, hence the
-    thread condition; the pool starts its own threads only after the fork.
-    Leaving the pool's ``with`` block waits for the worker to end and joins
-    it and the pool's threads.
+    Forking a process while another of its threads runs can leave a lock
+    held for good in the child.  Both forks of a run, the GRT worker
+    (``grt_worker``) and the flux writer of ``cli.run``, ask here first.
     """
     # imported here: a conv run imports neither, and importing them slows importing helioflux
     import multiprocessing
     import threading
+
+    return "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+
+
+def grt_worker():
+    """A one-process pool for ``grt_pair``, forked from the caller when
+    first used; a null context that gives None, so that ``grt_pair`` traces
+    serially, where ``may_fork`` says no.
+
+    A forked worker starts with the caller's numpy error handling and ufunc
+    buffer size, and without the fresh import of numpy and helioflux
+    (~0.1 s) that a spawned one needs.  The pool starts its own threads only
+    after the fork.  Leaving the pool's ``with`` block waits for the worker
+    to end and joins it and the pool's threads.  ``cli.run`` opens one for a
+    run whose engines include GRT and hands it to ``day_course``.
+    """
+    if not may_fork():
+        return contextlib.nullcontext()
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return contextlib.nullcontext()
     return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
 
 
@@ -183,7 +195,7 @@ def grt_pair(scene, h, facets, sun, worker=None):
                              "before its map was traced") from exc
 
 
-def day_course(scene, collect_maps=False):
+def day_course(scene, collect_maps=False, worker=None):
     """Simulate the scene's schedule for every variant and case.
 
     Canting sets are computed once per heliostat from the scene reference
@@ -192,10 +204,10 @@ def day_course(scene, collect_maps=False):
     (sun, variant), however often the schedule names that sun, and its conv
     maps are convolved and its GRT maps traced from them once per sun.  The
     GRT maps are traced as a pair (``grt_pair``), bit-identical to serial
-    traces: when the engines include GRT, the day course forks one worker
-    process (``grt_worker``) that traces every off-axis map while this
-    process traces the spherical ones.  It joins the worker before it
-    returns or raises; a worker that dies raises HelioFluxError.
+    traces: with a ``worker`` from ``grt_worker``, which the caller opens
+    and joins, that process traces every off-axis map while this one traces
+    the spherical ones, and a worker that dies raises HelioFluxError.
+    Without one, the day course traces serially and forks nothing.
 
     With the reference sun on the meridian (azimuth 0.0), the X'-mirror
     twin of a heliostat at sun (az, el) sees the mirror image of that
@@ -254,57 +266,56 @@ def day_course(scene, collect_maps=False):
     # The slots of a group run back to back, and each group caches the
     # facets and maps of a (heliostat, sun) only while it runs.
     ordered = sorted(range(len(schedule)), key=group)
-    with (grt_worker() if "grt" in engines else contextlib.nullcontext()) as worker:
-        for _, slots in itertools.groupby(ordered, key=group):
-            @functools.cache
-            def realized(h, sun):
-                return {variant: realize_modules(h, layouts[h.name],
-                                                 report.cantings[h.name][variant], sun)
-                        for variant in VARIANTS}
+    for _, slots in itertools.groupby(ordered, key=group):
+        @functools.cache
+        def realized(h, sun):
+            return {variant: realize_modules(h, layouts[h.name],
+                                             report.cantings[h.name][variant], sun)
+                    for variant in VARIANTS}
 
-            @functools.cache
-            def traced(h, sun):
-                return grt_pair(scene, h, realized(h, sun), sun, worker)
+        @functools.cache
+        def traced(h, sun):
+            return grt_pair(scene, h, realized(h, sun), sun, worker)
 
-            @functools.cache
-            def convolved(h, sun):
-                return {variant: convolve_flux(f, sun, scene.sunshape, scene.receiver,
-                                               dni=scene.dni,
-                                               surface_samples=scene.surface_samples,
-                                               heliostat_ids=(h.name,))
-                        for variant, f in realized(h, sun).items()}
+        @functools.cache
+        def convolved(h, sun):
+            return {variant: convolve_flux(f, sun, scene.sunshape, scene.receiver,
+                                           dni=scene.dni,
+                                           surface_samples=scene.surface_samples,
+                                           heliostat_ids=(h.name,))
+                    for variant, f in realized(h, sun).items()}
 
-            for it in slots:
-                entry = schedule[it]
-                sun = entry.position
-                mirrored = replace(sun, azimuth=-sun.azimuth)
-                single = {}  # drops the previous time's maps before computing new ones
-                for name, h in report.heliostats.items():
-                    own = single[name] = {}
-                    if "grt" in engines:
-                        source = flips.get(name, h) if mirrored in positions else h
-                        for variant, m in traced(source, sun if source is h else mirrored).items():
-                            own[(variant, "grt")] = m if source is h else replace(
-                                m, values=m.values[::-1, :], sun=sun, heliostat_ids=(name,))
-                    if "conv" in engines:
-                        for variant, m in convolved(h, sun).items():
-                            own[(variant, "conv")] = m
-                for case in cases:
-                    for variant in VARIANTS:
-                        case_maps, peaks = {}, {}
-                        for eng in engines:
-                            combined = case_maps[eng] = functools.reduce(
-                                map_add, (single[h.name][(variant, eng)] for h in members[case]))
-                            peaks[eng] = concentration_ratio(combined)
-                            if collect_maps:
-                                maps[(entry.label, variant, case, eng)] = combined
-                        if len(engines) == 2:
-                            diff = case_maps["conv"].values - case_maps["grt"].values
-                            rms = math.sqrt(float((diff * diff).mean()))
-                            report.engine_rms[(entry.label, variant, case)] = rms / peaks["grt"]
-                        report.peak[(case, variant)][it] = peaks[report.engine]
-                        report.intercepted[(case, variant)][it] = intercepted_power(
-                            case_maps[report.engine], scene.receiver.diameter)
+        for it in slots:
+            entry = schedule[it]
+            sun = entry.position
+            mirrored = replace(sun, azimuth=-sun.azimuth)
+            single = {}  # drops the previous time's maps before computing new ones
+            for name, h in report.heliostats.items():
+                own = single[name] = {}
+                if "grt" in engines:
+                    source = flips.get(name, h) if mirrored in positions else h
+                    for variant, m in traced(source, sun if source is h else mirrored).items():
+                        own[(variant, "grt")] = m if source is h else replace(
+                            m, values=m.values[::-1, :], sun=sun, heliostat_ids=(name,))
+                if "conv" in engines:
+                    for variant, m in convolved(h, sun).items():
+                        own[(variant, "conv")] = m
+            for case in cases:
+                for variant in VARIANTS:
+                    case_maps, peaks = {}, {}
+                    for eng in engines:
+                        combined = case_maps[eng] = functools.reduce(
+                            map_add, (single[h.name][(variant, eng)] for h in members[case]))
+                        peaks[eng] = concentration_ratio(combined)
+                        if collect_maps:
+                            maps[(entry.label, variant, case, eng)] = combined
+                    if len(engines) == 2:
+                        diff = case_maps["conv"].values - case_maps["grt"].values
+                        rms = math.sqrt(float((diff * diff).mean()))
+                        report.engine_rms[(entry.label, variant, case)] = rms / peaks["grt"]
+                    report.peak[(case, variant)][it] = peaks[report.engine]
+                    report.intercepted[(case, variant)][it] = intercepted_power(
+                        case_maps[report.engine], scene.receiver.diameter)
 
     for case in cases:
         report.gain[case] = (report.peak[(case, "off_axis")]

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, errors, determinism on a reduced scene."""
 
+import contextlib
 import filecmp
 import multiprocessing
 import os
@@ -400,6 +401,174 @@ def test_a_dead_grt_worker_ends_the_run_like_a_failure(fast_scene, tmp_path, mon
                           "ended before its map was traced")
     assert_nothing_left(threads)
     assert not os.listdir(out_dir)
+
+
+@contextlib.contextmanager
+def another_thread():
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        yield
+    finally:
+        done.set()
+        other.join(timeout=60)
+
+
+@pytest.mark.parametrize("engine", ["both", "grt"])
+def test_a_grt_run_writes_the_same_files_with_its_writer_process_as_without(
+        engine, fast_scene, tmp_path, monkeypatch, shared_log):
+    # A GRT run forks its GRT worker, then a writer process that writes the
+    # off-axis maps' files while this process writes the rest.  Beside
+    # another thread the fork rule keeps the whole run in this process.  Each
+    # flux CSV logs whether this process wrote it.
+    caller = os.getpid()
+    fork, write_flux_csv = os.fork, fileio.write_flux_csv
+    forks = []
+
+    def counted_fork():
+        forks.append("fork")
+        return fork()
+
+    def logged_csv(flux_map, path):
+        shared_log.append((os.path.basename(path), os.getpid() == caller))
+        write_flux_csv(flux_map, path)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(fileio, "write_flux_csv", logged_csv)
+    threads = threading.active_count()
+    for mode in ("split", "serial"):
+        (tmp_path / mode).mkdir()
+        monkeypatch.chdir(tmp_path / mode)
+        with another_thread() if mode == "serial" else contextlib.nullcontext():
+            assert main(["run", fast_scene, "--engine", engine, "--out", "out"]) == 0
+        assert_nothing_left(threads)
+        if mode == "split":
+            assert len(forks) == 2
+    assert len(forks) == 2
+    maps = 2 * 2 * len(ENGINES[engine])  # times x variants x engines, case single
+    log = shared_log.read()
+    assert len(log) == 2 * maps
+    assert all(by_caller == ("off_axis" not in name) for name, by_caller in log[:maps])
+    assert all(by_caller for _, by_caller in log[maps:])
+    names = sorted(os.listdir(tmp_path / "split" / "out"))
+    assert names == sorted(os.listdir(tmp_path / "serial" / "out"))
+    _, mismatch, errors = filecmp.cmpfiles(tmp_path / "split" / "out",
+                                           tmp_path / "serial" / "out", names, shallow=False)
+    assert (mismatch, errors) == ([], [])
+
+
+def test_an_error_in_the_writer_process_ends_the_run_as_that_error(fast_scene, tmp_path,
+                                                                  monkeypatch, capsys):
+    caller = os.getpid()
+    write_flux_pgm = fileio.write_flux_pgm
+
+    def full_disk(flux_map, path):
+        if os.getpid() != caller:
+            raise OSError("disk full")
+        write_flux_pgm(flux_map, path)
+
+    monkeypatch.setattr(fileio, "write_flux_pgm", full_disk)
+    threads = threading.active_count()
+    config = hf.with_overrides(hf.load_config(fast_scene), engine="both",
+                               out_dir=str(tmp_path / "direct"))
+    with pytest.raises(OSError) as raised:
+        run(config)
+    assert type(raised.value) is OSError and str(raised.value) == "disk full"
+    assert_nothing_left(threads)
+    assert not os.listdir(tmp_path / "direct")
+    out_dir = tmp_path / "partial"
+    assert main(["run", fast_scene, "--engine", "both", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: OSError: disk full\n"
+    assert_nothing_left(threads)
+    assert not os.listdir(out_dir)
+
+
+class WriteFailed(OSError):
+    """A writer's error that does not pickle."""
+
+    def __reduce__(self):
+        raise TypeError("WriteFailed does not pickle")
+
+
+def test_a_writer_error_that_does_not_pickle_ends_the_run_in_one_line(fast_scene, tmp_path,
+                                                                      monkeypatch, capsys):
+    caller = os.getpid()
+    write_flux_pgm = fileio.write_flux_pgm
+
+    def failing(flux_map, path):
+        if os.getpid() != caller:
+            raise WriteFailed("disk full")
+        write_flux_pgm(flux_map, path)
+
+    monkeypatch.setattr(fileio, "write_flux_pgm", failing)
+    threads = threading.active_count()
+    out_dir = tmp_path / "partial"
+    assert main(["run", fast_scene, "--engine", "both", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: HelioFluxError: WriteFailed: disk full\n"
+    assert_nothing_left(threads)
+    assert not os.listdir(out_dir)
+
+
+def test_a_dead_writer_process_ends_the_run_in_one_line(fast_scene, tmp_path, monkeypatch,
+                                                        capsys):
+    # the writer process dies, as if killed, in its first graymap
+    caller = os.getpid()
+    write_flux_pgm = fileio.write_flux_pgm
+
+    def dying(flux_map, path):
+        if os.getpid() != caller:
+            os._exit(1)
+        write_flux_pgm(flux_map, path)
+
+    monkeypatch.setattr(fileio, "write_flux_pgm", dying)
+    threads = threading.active_count()
+    out_dir = tmp_path / "partial"
+    assert main(["run", fast_scene, "--engine", "grt", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == ("error: HelioFluxError: the flux writer process "
+                                       "ended before it wrote its maps\n")
+    assert_nothing_left(threads)
+    assert not os.listdir(out_dir)
+
+
+def test_a_failure_beside_the_writer_process_waits_for_it_before_cleaning_up(
+        fast_scene, tmp_path, monkeypatch, capsys):
+    # the writer process writes its files only once this process has failed
+    # in its first flux CSV: a cleanup that did not wait for the writer
+    # would leave the writer's files behind
+    caller = os.getpid()
+    write_flux_csv = fileio.write_flux_csv
+    go_read, go_write = os.pipe()
+
+    def racing(flux_map, path):
+        if os.getpid() == caller:
+            os.write(go_write, bytes(64))
+            raise OSError("caller failed")
+        os.read(go_read, 1)
+        write_flux_csv(flux_map, path)
+
+    monkeypatch.setattr(fileio, "write_flux_csv", racing)
+    out_dir = tmp_path / "partial"
+    try:
+        assert main(["run", fast_scene, "--engine", "both", "--out", str(out_dir)]) == 1
+    finally:
+        os.close(go_read)
+        os.close(go_write)
+    assert capsys.readouterr().err == "error: OSError: caller failed\n"
+    left = multiprocessing.active_children()
+    for child in left:
+        child.join()
+    assert not os.listdir(out_dir)
+    assert left == []
+
+
+def test_a_conv_run_forks_no_process(fast_scene, tmp_path, monkeypatch):
+    def forbidden():
+        raise AssertionError("a conv run forked")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    assert main(["run", fast_scene, "--engine", "conv", "--out", str(tmp_path / "out")]) == 0
+    assert len(os.listdir(tmp_path / "out")) == 2 * 2 * 2 + 3
 
 
 def test_cli_reports_a_scene_that_is_not_utf8_in_one_line(tmp_path, capsys):

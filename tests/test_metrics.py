@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import multiprocessing
+import os
 import threading
 import tracemalloc
 import weakref
@@ -199,16 +200,23 @@ def test_every_map_of_a_both_day_course_is_read_only(table1_config, monkeypatch)
         return maps
 
     monkeypatch.setattr(metrics, "grt_pair", keeping)
-    _, maps = hf.day_course(small_day(table1_config, "both"), collect_maps=True)
+    with metrics.grt_worker() as worker:
+        _, maps = hf.day_course(small_day(table1_config, "both"), collect_maps=True,
+                                worker=worker)
     assert len(paired) == 10 and len(maps) == 40
     for flux_map in paired + list(maps.values()):
         assert flux_map.values.flags.writeable is False
 
 
 @pytest.mark.parametrize("engine", metrics.ENGINES)
-def test_a_day_course_leaves_no_process_or_thread_behind(engine, table1_config):
-    # a GRT day course joins its worker process and the pool's threads;
-    # test_cli covers day courses that fail on either side or lose the worker
+def test_a_day_course_leaves_no_process_or_thread_behind(engine, table1_config, monkeypatch):
+    # called without a worker, a day course traces serially and forks
+    # nothing; cli.run owns the GRT worker, and test_cli covers runs that
+    # fail on either side or lose the worker
+    def forbidden():
+        raise AssertionError("a day course forked")
+
+    monkeypatch.setattr(os, "fork", forbidden)
     threads = threading.active_count()
     hf.day_course(small_day(table1_config, engine))
     assert multiprocessing.active_children() == []

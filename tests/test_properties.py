@@ -229,8 +229,6 @@ def test_paired_grt_maps_equal_serial_traces(scene):
     # serially without a worker.  The day course builds conv maps serially
     # from the facets it traces the GRT pair from: each single-case conv map
     # equals a serial convolve_flux of those facets.
-    # the day courses run before this worker's threads start, since beside
-    # other threads a day course forks no worker of its own
     alone = {h.name: hf.day_course(dataclasses.replace(scene, heliostats=(h,), cases=("single",)),
                                    collect_maps=True)[1] for h in scene.heliostats}
     with metrics.grt_worker() as worker:
