@@ -7,23 +7,24 @@ A run writes, into the output directory: a canting table per heliostat, a
 flux map (CSV and 16-bit graymap) per time/variant/case/engine, the
 concentration report, and a manifest echoing every effective parameter.
 Identical configurations produce bit-identical artifacts.  A run whose
-engines include GRT uses two processes where the platform can fork: a GRT
-worker traces the off-axis maps during the day course, then a writer
-writes their files while this process writes the rest; a conv run stays in
-this process.  On failure the partial outputs are removed, a single-line
-``error: ...`` goes to stderr and the exit status is nonzero.  A reader
-that closes the echo's pipe early is no failure.
+engines include GRT forks one child where the platform can fork: the child
+computes and writes the off-axis variant while this process computes and
+writes the spherical one and the rest; a conv run stays in this process.
+This is the only module that forks.  On failure the partial outputs are
+removed, a single-line ``error: ...`` goes to stderr and the exit status
+is nonzero.  A reader that closes the echo's pipe early is no failure.
 """
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 import time
 
 from .errors import HelioFluxError
 from .heliostat import module_centres
-from .metrics import ENGINES, day_course, grt_worker, may_fork
+from .metrics import ENGINES, VARIANTS, day_course
 from .scene import load_config, with_overrides
 from . import fileio
 
@@ -50,18 +51,27 @@ def _stem(key):
     return f"flux_{label}_{variant}_{case}_{engine}"
 
 
-def _write_flux_files(files, sender):
-    # the forked writer's work: the CSV and graymap of each (map, CSV path,
-    # graymap path) of ``files``, then None, or the error that stopped it,
-    # sent through the pipe
+def may_fork():
+    """Whether this process may fork a child: the platform has the "fork"
+    start method and no other Python thread is running.
+
+    Forking a process while another of its threads runs can leave a lock
+    held for good in the child.
+    """
+    # imported here: a conv run imports neither, and importing them slows importing helioflux
+    import multiprocessing
+    import threading
+
+    return "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+
+
+def _call_and_send(function, args, sender):
+    # the forked child's work: function(*args)'s result, or the error that
+    # stopped it, sent through the pipe
     try:
-        for flux_map, csv_path, pgm_path in files:
-            fileio.write_flux_csv(flux_map, csv_path)
-            fileio.write_flux_pgm(flux_map, pgm_path)
+        outcome = function(*args)
     except BaseException as exc:
         outcome = exc
-    else:
-        outcome = None
     try:
         sender.send(outcome)
     except Exception:  # an error that does not pickle
@@ -69,49 +79,68 @@ def _write_flux_files(files, sender):
 
 
 @contextlib.contextmanager
-def _flux_writer(files):
-    """Write the maps of ``files`` in a forked process while the ``with``
-    block runs.
+def _forked(function, *args):
+    """Call ``function(*args)`` in a forked process while the ``with`` block
+    runs.
 
-    The maps reach the child by fork, copy-on-write, and are never pickled.
-    Leaving the block, however it is left, waits for the child to end.  An
-    error that the child raised is then raised here, unless the block
-    raised one of its own; a child that died raises HelioFluxError.
+    The block gets a list that holds the call's result once it is left.
+    The child starts with this process's memory, numpy state included,
+    copy-on-write; only the result is pickled.  Leaving the block, however
+    it is left, waits for the child to end.  An error that the child raised
+    is then raised here, unless the block raised one of its own; a child
+    that died raises HelioFluxError.
     """
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
     reader, sender = context.Pipe(duplex=False)
+    result = []
     with reader:
         with sender:  # the child's end: closed here once the child has it
-            child = context.Process(target=_write_flux_files, args=(files, sender))
+            child = context.Process(target=_call_and_send, args=(function, args, sender))
             child.start()
         try:
-            yield
+            yield result
         finally:
             try:
                 outcome = reader.recv()
             except EOFError:
-                outcome = HelioFluxError("the flux writer process ended before it "
-                                         "wrote its maps")
+                outcome = HelioFluxError("the forked process of the run ended before "
+                                         "it finished")
             finally:
                 child.join()
-    if outcome is not None:
+    if isinstance(outcome, BaseException):
         raise outcome
+    result.append(outcome)
+
+
+def _write_maps(maps, paths):
+    for key in sorted(maps):
+        fileio.write_flux_csv(maps[key], paths[key][0])
+        fileio.write_flux_pgm(maps[key], paths[key][1])
+
+
+def _off_axis_run(config, paths):
+    # the forked child's run: the off-axis day course and its flux files;
+    # only the figures go back
+    report, maps = day_course(config, collect_maps=True, variants=("off_axis",))
+    _write_maps(maps, paths)
+    return {name: getattr(report, name) for name in ("peak", "intercepted", "engine_rms")}
 
 
 def run(config):
     """Execute the scene and write the artifact set; returns written paths.
 
-    A run whose engines include GRT opens the GRT worker process
-    (``grt_worker``) for its day course.  Once the day course has returned
-    and the worker has ended, where ``may_fork`` allows, it forks one writer
-    process that writes the CSV and graymap of every off-axis map while
-    this process writes the spherical ones, the canting tables, the report
-    and the manifest.  The files are those of a serial run, byte for byte.
-    This process names every path, the writer's too, so on any failure it
-    waits for the writer to end and then removes each file of the run.  A
-    conv run forks nothing.
+    Where the engines include GRT and ``may_fork`` allows, the run forks
+    one child at its start.  The child runs the off-axis day course, writes
+    its flux files and sends back only its figures, while this process runs
+    the spherical day course and writes its flux files and the canting
+    tables.  The variants share no work but the canting sets, so the files
+    are those of a serial run, byte for byte.  This process then merges the
+    child's figures into its report and writes the report and the
+    manifest.  It names every path, the child's too, before the fork, so on
+    any failure it waits for the child to end and then removes each file of
+    the run.  A conv run forks nothing.
     """
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -123,29 +152,29 @@ def run(config):
         return path
 
     try:
-        grt = "grt" in ENGINES[config.engine]
-        with (grt_worker() if grt else contextlib.nullcontext()) as worker:
-            report, maps = day_course(config, collect_maps=True, worker=worker)
-
-        keys, forked = sorted(maps), []
-        if grt and may_fork():
-            forked = [key for key in keys if key[1] == "off_axis"]
-            keys = [key for key in keys if key[1] != "off_axis"]
-        files = [(maps[key], target(_stem(key) + ".csv"), target(_stem(key) + ".pgm"))
-                 for key in forked]
-        with (_flux_writer(files) if files else contextlib.nullcontext()):
+        engines = ENGINES[config.engine]
+        paths = {key: (target(_stem(key) + ".csv"), target(_stem(key) + ".pgm"))
+                 for key in itertools.product([entry.label for entry in config.schedule],
+                                              VARIANTS, config.cases, engines)}
+        variants, child = VARIANTS, contextlib.nullcontext([])
+        if "grt" in engines and may_fork():
+            variants = ("spherical",)
+            child = _forked(_off_axis_run, config, paths)
+        with child as figures:
+            report, maps = day_course(config, collect_maps=True, variants=variants)
             for name in sorted(report.heliostats):
                 cantings = report.cantings[name]
                 fileio.write_canting_csv(module_centres(report.heliostats[name]),
                                          cantings["spherical"], cantings["off_axis"],
                                          target(f"canting_{name}.csv"))
+            _write_maps(maps, paths)
+        for merged in figures:  # the child's figures, if a child ran
+            report.variants = VARIANTS
+            for name, table in merged.items():
+                getattr(report, name).update(table)
 
-            for key in keys:
-                fileio.write_flux_csv(maps[key], target(_stem(key) + ".csv"))
-                fileio.write_flux_pgm(maps[key], target(_stem(key) + ".pgm"))
-
-            fileio.write_concentration_csv(report, target("concentration.csv"))
-            fileio.write_manifest(config, report, target("manifest.txt"))
+        fileio.write_concentration_csv(report, target("concentration.csv"))
+        fileio.write_manifest(config, report, target("manifest.txt"))
     except BaseException:
         for path in written:
             if os.path.exists(path):

@@ -52,11 +52,6 @@ class FluxMap:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    def __setstate__(self, state):
-        # unpickling, of a map traced in a worker process say, skips __init__
-        self.__dict__.update(state)
-        self.__post_init__()
-
     @property
     def total_power(self):
         """On-grid power: watts when DNI is given in W/m^2."""
@@ -69,8 +64,9 @@ class FluxMap:
 # in one chunk.  The chunk size does not change a map's bytes.  On table1's 10
 # GRT maps (2-core x86-64, numpy 2.4, medians of 6 alternating runs), serial
 # traces take 1.53 s at 16 K rays per chunk, 1.49 s at 32 K, 1.49 s at 64 K
-# and 1.67 s at 128 K; ``metrics.grt_pair``'s process pair 0.86, 0.79, 0.81
-# and 0.92 s.  On one core the pair took 1.16 s at 32 K and 1.15 s at 64 K.
+# and 1.67 s at 128 K; the two variants traced in two processes at once 0.86,
+# 0.79, 0.81 and 0.92 s.  On one core those took 1.16 s at 32 K and 1.15 s at
+# 64 K.
 _CHUNK_RAYS = 65536
 
 

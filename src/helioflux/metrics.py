@@ -4,10 +4,12 @@ The concentration ratio of a map is its peak flux density over DNI, i.e.
 the peak cell value of a map in suns.  A day course re-aims the heliostats
 for every scheduled sun position while keeping each canting set frozen at
 the one computed for the reference sun; the off-axis optimization is a
-one-time re-alignment, not a per-time adjustment.
+one-time re-alignment, not a per-time adjustment.  The two canting
+variants share nothing else, so a day course may run either alone; the
+gain, their one comparison, is derived from a report of both.  Nothing
+here forks a process.
 """
 
-import contextlib
 import functools
 import itertools
 import math
@@ -69,15 +71,14 @@ def intercepted_power(flux_map, diameter):
 
 @dataclass
 class ConcentrationReport:
-    """Per-time concentration figures for every variant and case.
+    """Per-time concentration figures for the simulated variants and every case.
 
     ``peak[(case, variant)]`` and ``intercepted[(case, variant)]`` are
-    arrays over the schedule; ``gain[case]`` is C_offaxis / C_spherical - 1
-    per time (negative entries mean the off-axis canting loses at that
-    hour, which does happen far from the reference sun).  ``heliostats``
+    arrays over the schedule, for each of ``variants``.  ``heliostats``
     maps the name of every simulated heliostat, mirror twins included, to
-    its spec; ``cantings[name]`` keeps its frozen canting set per variant,
-    ``engine_rms`` the cross-engine RMS/peak figures when both engines ran.
+    its spec; ``cantings[name]`` keeps its frozen canting set for every
+    variant, simulated or not, ``engine_rms`` the cross-engine RMS/peak
+    figures keyed (label, variant, case) when both engines ran.
     """
 
     labels: tuple
@@ -86,10 +87,18 @@ class ConcentrationReport:
     engine: str
     peak: dict = field(default_factory=dict)
     intercepted: dict = field(default_factory=dict)
-    gain: dict = field(default_factory=dict)
     heliostats: dict = field(default_factory=dict)
     cantings: dict = field(default_factory=dict)
     engine_rms: dict = field(default_factory=dict)
+
+    @property
+    def gain(self):
+        """C_offaxis / C_spherical - 1 per time, keyed by case, from the
+        peaks of a report of both variants (negative entries mean the
+        off-axis canting loses at that hour, which does happen far from the
+        reference sun)."""
+        return {case: self.peak[(case, "off_axis")] / self.peak[(case, "spherical")] - 1.0
+                for case in self.cases}
 
 
 def case_heliostats(scene):
@@ -125,89 +134,20 @@ def frozen_cantings(h, layout, reference):
                                          h.slant_distance)}
 
 
-def may_fork():
-    """Whether this process may fork a helper process: the platform has the
-    "fork" start method and no other Python thread is running.
-
-    Forking a process while another of its threads runs can leave a lock
-    held for good in the child.  Both forks of a run, the GRT worker
-    (``grt_worker``) and the flux writer of ``cli.run``, ask here first.
-    """
-    # imported here: a conv run imports neither, and importing them slows importing helioflux
-    import multiprocessing
-    import threading
-
-    return "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
-
-
-def grt_worker():
-    """A one-process pool for ``grt_pair``, forked from the caller when
-    first used; a null context that gives None, so that ``grt_pair`` traces
-    serially, where ``may_fork`` says no.
-
-    A forked worker starts with the caller's numpy error handling and ufunc
-    buffer size, and without the fresh import of numpy and helioflux
-    (~0.1 s) that a spawned one needs.  The pool starts its own threads only
-    after the fork.  Leaving the pool's ``with`` block waits for the worker
-    to end and joins it and the pool's threads.  ``cli.run`` opens one for a
-    run whose engines include GRT and hands it to ``day_course``.
-    """
-    if not may_fork():
-        return contextlib.nullcontext()
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
-
-
-def _grt(scene, h, facets, sun):
-    # module level, so that it is sent to a worker process by name.  It looks
-    # trace_flux_grt up when called, so a wrapper installed before the fork,
-    # which cannot be pickled, runs in the worker too.
-    return trace_flux_grt(facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
-                          surface_samples=scene.surface_samples,
-                          radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
-                          heliostat_ids=(h.name,))
-
-
-def grt_pair(scene, h, facets, sun, worker=None):
-    """One heliostat's GRT maps at ``sun``, keyed by variant, from its
-    realized ``facets`` per variant.
-
-    With a ``worker`` from ``grt_worker``, the off-axis map traces in the
-    worker process while the spherical one traces on the calling thread, so
-    the two share the cores; without one, both trace on the calling thread.
-    Each map sums its own rays in the same order as a serial trace, so the
-    maps are bit-identical to serial ones.  An error in either call
-    propagates, the calling thread's first; a worker that dies before its
-    map is back raises HelioFluxError.
-    """
-    if worker is None:
-        return {variant: _grt(scene, h, facets[variant], sun) for variant in VARIANTS}
-    from concurrent.futures import BrokenExecutor
-
-    off_axis = worker.submit(_grt, scene, h, facets["off_axis"], sun)
-    spherical = _grt(scene, h, facets["spherical"], sun)
-    try:
-        return {"spherical": spherical, "off_axis": off_axis.result()}
-    except BrokenExecutor as exc:
-        raise HelioFluxError(f"the GRT worker process of heliostat {h.name!r} ended "
-                             "before its map was traced") from exc
-
-
-def day_course(scene, collect_maps=False, worker=None):
-    """Simulate the scene's schedule for every variant and case.
+def day_course(scene, collect_maps=False, variants=VARIANTS):
+    """Simulate the scene's schedule for each of ``variants`` and every case.
 
     Canting sets are computed once per heliostat from the scene reference
     sun and reused across all times.  A flux map depends only on the
     heliostat and the sun, so each heliostat's facets are realized once per
     (sun, variant), however often the schedule names that sun, and its conv
     maps are convolved and its GRT maps traced from them once per sun.  The
-    GRT maps are traced as a pair (``grt_pair``), bit-identical to serial
-    traces: with a ``worker`` from ``grt_worker``, which the caller opens
-    and joins, that process traces every off-axis map while this one traces
-    the spherical ones, and a worker that dies raises HelioFluxError.
-    Without one, the day course traces serially and forks nothing.
+    variants share nothing but the canting sets, which are computed for
+    every variant, so a day course of one variant gives, bit for bit, that
+    variant's maps and figures of a day course of both; ``cli.run`` splits
+    a GRT run by variant that way.  ``variants`` names distinct members of
+    ``VARIANTS``, at least one, or ConfigError is raised.  A day course runs
+    in the calling process and forks nothing.
 
     With the reference sun on the meridian (azimuth 0.0), the X'-mirror
     twin of a heliostat at sun (az, el) sees the mirror image of that
@@ -216,9 +156,9 @@ def day_course(scene, collect_maps=False, worker=None):
     by construction (``cone_directions``), so the mirrored sun's cone is the
     mirror image of the sun's at every node count.  So where a case adds
     twins and (-az, el) is exactly the position of a schedule entry, a
-    twin's GRT maps are its heliostat's pair there with Y' reversed; they
+    twin's GRT maps are its heliostat's there with Y' reversed; they
     are traced everywhere else.  A sun, its mirror image and any repeat of
-    either run back to back, and the facets and GRT pairs realized and
+    either run back to back, and the facets and GRT maps realized and
     traced for them are held only while they run; the figures and maps are
     keyed by time, so that order does not change them.  Maps are composed
     into cases by cell-wise addition, so a pair map is exactly the sum of
@@ -234,10 +174,14 @@ def day_course(scene, collect_maps=False, worker=None):
     Returns the report, and the map dictionary keyed
     (label, variant, case, engine) when ``collect_maps`` is set.
     """
+    variants = tuple(variants)
+    if not variants or len(set(variants)) < len(variants) or not set(variants) <= set(VARIANTS):
+        raise ConfigError(f"variants {variants!r}: name at least one of "
+                          f"{', '.join(VARIANTS)}, each at most once")
     schedule, cases = scene.schedule, scene.cases
     engines = ENGINES[scene.engine]
     report = ConcentrationReport(labels=tuple(e.label for e in schedule),
-                                 cases=tuple(cases), variants=VARIANTS,
+                                 cases=tuple(cases), variants=variants,
                                  engine=engines[-1])
 
     members = case_heliostats(scene)
@@ -247,7 +191,7 @@ def day_course(scene, collect_maps=False, worker=None):
                        for name, h in report.heliostats.items()}
 
     maps = {}
-    for (case, variant) in ((c, v) for c in cases for v in VARIANTS):
+    for (case, variant) in ((c, v) for c in cases for v in variants):
         report.peak[(case, variant)] = np.zeros(len(schedule))
         report.intercepted[(case, variant)] = np.zeros(len(schedule))
 
@@ -271,11 +215,17 @@ def day_course(scene, collect_maps=False, worker=None):
         def realized(h, sun):
             return {variant: realize_modules(h, layouts[h.name],
                                              report.cantings[h.name][variant], sun)
-                    for variant in VARIANTS}
+                    for variant in variants}
 
         @functools.cache
         def traced(h, sun):
-            return grt_pair(scene, h, realized(h, sun), sun, worker)
+            return {variant: trace_flux_grt(f, sun, scene.sunshape, scene.receiver,
+                                            dni=scene.dni,
+                                            surface_samples=scene.surface_samples,
+                                            radial_nodes=scene.radial_nodes,
+                                            azimuth_nodes=scene.azimuth_nodes,
+                                            heliostat_ids=(h.name,))
+                    for variant, f in realized(h, sun).items()}
 
         @functools.cache
         def convolved(h, sun):
@@ -301,7 +251,7 @@ def day_course(scene, collect_maps=False, worker=None):
                     for variant, m in convolved(h, sun).items():
                         own[(variant, "conv")] = m
             for case in cases:
-                for variant in VARIANTS:
+                for variant in variants:
                     case_maps, peaks = {}, {}
                     for eng in engines:
                         combined = case_maps[eng] = functools.reduce(
@@ -316,10 +266,6 @@ def day_course(scene, collect_maps=False, worker=None):
                     report.peak[(case, variant)][it] = peaks[report.engine]
                     report.intercepted[(case, variant)][it] = intercepted_power(
                         case_maps[report.engine], scene.receiver.diameter)
-
-    for case in cases:
-        report.gain[case] = (report.peak[(case, "off_axis")]
-                             / report.peak[(case, "spherical")] - 1.0)
 
     if collect_maps:
         return report, maps

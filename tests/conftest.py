@@ -42,8 +42,8 @@ def noon_maps(table1_run):
 
 class SharedLog:
     """Pickled records appended to a file, each in one write, so that a
-    process forked from this one, such as a GRT worker, adds to it too.
-    Read it once that process has ended."""
+    process forked from this one, such as the child of a GRT run, adds to
+    it too.  Read it once that process has ended."""
 
     def __init__(self, path):
         self.path = path
@@ -69,8 +69,8 @@ def shared_log(tmp_path):
 @pytest.fixture
 def grt_traces(monkeypatch, shared_log):
     """A reader of every ``metrics.trace_flux_grt`` call from now on, as
-    (heliostat ids, sun), whether it ran in this process or in a GRT worker
-    process forked from it."""
+    (heliostat ids, sun), whether it ran in this process or in the child
+    that a GRT run forks from it."""
     trace = metrics.trace_flux_grt
 
     def recording(facets, sun, *args, **kwargs):

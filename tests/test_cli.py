@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import helioflux as hf
-from helioflux import fileio, metrics
+from helioflux import cli, fileio, metrics
 from helioflux.cli import main, run
 from helioflux.errors import HelioFluxError
 from helioflux.metrics import ENGINES
@@ -314,8 +314,8 @@ def test_run_removes_written_artifacts_when_a_writer_fails(fast_scene, tmp_path,
 
 
 class TraceFailed(HelioFluxError):
-    """A trace's error that pickles by reference, so that the one a GRT
-    worker process raises reaches the caller as the very same object."""
+    """A trace's error that pickles by reference, so that the one the
+    child of a GRT run raises reaches the caller as the very same object."""
 
     def __reduce__(self):
         return "TRACE_FAILED"
@@ -325,7 +325,7 @@ TRACE_FAILED = TraceFailed("trace failed")
 
 
 def assert_nothing_left(threads):
-    # a day course joins its GRT worker process and the pool's threads
+    # a run joins its child process
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
 
@@ -334,11 +334,12 @@ def assert_nothing_left(threads):
 def test_a_failing_grt_thread_ends_the_run_like_a_serial_failure(failing, fast_scene,
                                                                  tmp_path, monkeypatch,
                                                                  capsys, shared_log):
-    # grt_pair traces one variant's GRT map in a worker process forked with
-    # the caller's numpy state while the caller traces the other; an error
-    # on either leaves it, with the caller's state as it was, and once the
-    # worker has ended nothing of it is left.  Each call logs its numpy
-    # state, the worker's reaching this process through the shared log.
+    # A GRT run forks one child, the worker, with the caller's numpy state:
+    # it traces the off-axis GRT maps while the caller traces the spherical
+    # ones.  An error in a trace on either side ends the run as that very
+    # error, with the caller's state as it was, and once the child has
+    # ended nothing of the run is left.  Each trace logs its numpy state,
+    # the child's reaching this process through the shared log.
     error = TRACE_FAILED
     trace = metrics.trace_flux_grt
     caller = os.getpid()
@@ -351,27 +352,23 @@ def test_a_failing_grt_thread_ends_the_run_like_a_serial_failure(failing, fast_s
         return trace(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "trace_flux_grt", failing_trace)
-    config = hf.with_overrides(hf.load_config(fast_scene), engine="both")
-    h = config.heliostats[0]
-    layout = hf.module_centres(h)
-    cantings = metrics.frozen_cantings(h, layout, config.reference)
-    sun = config.schedule[0].position
-    facets = {variant: hf.realize_modules(h, layout, cantings[variant], sun)
-              for variant in metrics.VARIANTS}
+    config = hf.with_overrides(hf.load_config(fast_scene), engine="both",
+                               out_dir=str(tmp_path / "direct"))
     threads = threading.active_count()
     with np.errstate(over="raise", under="warn"):
         bufsize = np.setbufsize(4096)
         try:
             state = (np.getbufsize(), np.geterr())
             with pytest.raises(HelioFluxError) as raised:
-                with metrics.grt_worker() as worker:
-                    metrics.grt_pair(config, h, facets, sun, worker)
+                run(config)
             assert raised.value is error
             assert_nothing_left(threads)
             assert (np.getbufsize(), np.geterr()) == state
-            assert shared_log.read() == [state, state]
+            # the failing side's first trace and both of the other side's
+            assert shared_log.read() == [state] * 3
         finally:
             np.setbufsize(bufsize)
+    assert not os.listdir(tmp_path / "direct")
     out_dir = tmp_path / "partial"
     assert main(["run", fast_scene, "--engine", "both", "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err == "error: TraceFailed: trace failed\n"
@@ -379,10 +376,14 @@ def test_a_failing_grt_thread_ends_the_run_like_a_serial_failure(failing, fast_s
     assert not os.listdir(out_dir)
 
 
+CHILD_ENDED = ("error: HelioFluxError: the forked process of the run ended before it "
+               "finished\n")
+
+
 def test_a_dead_grt_worker_ends_the_run_like_a_failure(fast_scene, tmp_path, monkeypatch,
                                                        capsys):
-    # the worker process dies, as if killed, in its first trace; the forked
-    # worker inherits this patch, the caller's traces go through
+    # the child dies, as if killed, in its first trace; the forked child
+    # inherits this patch, the caller's traces go through
     trace = metrics.trace_flux_grt
     caller = os.getpid()
 
@@ -395,10 +396,7 @@ def test_a_dead_grt_worker_ends_the_run_like_a_failure(fast_scene, tmp_path, mon
     threads = threading.active_count()
     out_dir = tmp_path / "partial"
     assert main(["run", fast_scene, "--engine", "both", "--out", str(out_dir)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("error: HelioFluxError: the GRT worker process of heliostat 'h1' "
-                          "ended before its map was traced")
+    assert capsys.readouterr().err == CHILD_ENDED
     assert_nothing_left(threads)
     assert not os.listdir(out_dir)
 
@@ -415,42 +413,60 @@ def another_thread():
         other.join(timeout=60)
 
 
+def test_may_fork_says_no_beside_another_thread():
+    # the forked child would hold the other thread's locks as they were
+    with another_thread():
+        assert not cli.may_fork()
+    assert cli.may_fork()
+
+
 @pytest.mark.parametrize("engine", ["both", "grt"])
 def test_a_grt_run_writes_the_same_files_with_its_writer_process_as_without(
         engine, fast_scene, tmp_path, monkeypatch, shared_log):
-    # A GRT run forks its GRT worker, then a writer process that writes the
-    # off-axis maps' files while this process writes the rest.  Beside
-    # another thread the fork rule keeps the whole run in this process.  Each
-    # flux CSV logs whether this process wrote it.
+    # A GRT run forks one child, which runs the off-axis day course and
+    # writes its maps' files while this process runs the spherical one and
+    # writes the rest.  Beside another thread the fork rule keeps the whole
+    # run in this process.  Each day course and each flux CSV logs whether
+    # this process ran it.
     caller = os.getpid()
-    fork, write_flux_csv = os.fork, fileio.write_flux_csv
+    fork, day_course, write_flux_csv = os.fork, cli.day_course, fileio.write_flux_csv
     forks = []
 
     def counted_fork():
         forks.append("fork")
         return fork()
 
+    def logged_day_course(config, collect_maps, variants):
+        shared_log.append(("day", variants, os.getpid() == caller))
+        return day_course(config, collect_maps, variants)
+
     def logged_csv(flux_map, path):
-        shared_log.append((os.path.basename(path), os.getpid() == caller))
+        shared_log.append(("csv", os.path.basename(path), os.getpid() == caller))
         write_flux_csv(flux_map, path)
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli, "day_course", logged_day_course)
     monkeypatch.setattr(fileio, "write_flux_csv", logged_csv)
     threads = threading.active_count()
+    logs = {}
     for mode in ("split", "serial"):
         (tmp_path / mode).mkdir()
         monkeypatch.chdir(tmp_path / mode)
         with another_thread() if mode == "serial" else contextlib.nullcontext():
             assert main(["run", fast_scene, "--engine", engine, "--out", "out"]) == 0
         assert_nothing_left(threads)
-        if mode == "split":
-            assert len(forks) == 2
-    assert len(forks) == 2
+        assert len(forks) == 1
+        logs[mode] = shared_log.read()
+        shared_log.path.write_bytes(b"")
+    assert sorted(r for r in logs["split"] if r[0] == "day") == [
+        ("day", ("off_axis",), False), ("day", ("spherical",), True)]
+    assert [r for r in logs["serial"] if r[0] == "day"] == [("day", metrics.VARIANTS, True)]
     maps = 2 * 2 * len(ENGINES[engine])  # times x variants x engines, case single
-    log = shared_log.read()
-    assert len(log) == 2 * maps
-    assert all(by_caller == ("off_axis" not in name) for name, by_caller in log[:maps])
-    assert all(by_caller for _, by_caller in log[maps:])
+    for mode, log in logs.items():
+        written = [(name, by_caller) for kind, name, by_caller in log if kind == "csv"]
+        assert len(written) == maps
+        assert all(by_caller == (mode == "serial" or "off_axis" not in name)
+                   for name, by_caller in written)
     names = sorted(os.listdir(tmp_path / "split" / "out"))
     assert names == sorted(os.listdir(tmp_path / "serial" / "out"))
     _, mismatch, errors = filecmp.cmpfiles(tmp_path / "split" / "out",
@@ -512,7 +528,7 @@ def test_a_writer_error_that_does_not_pickle_ends_the_run_in_one_line(fast_scene
 
 def test_a_dead_writer_process_ends_the_run_in_one_line(fast_scene, tmp_path, monkeypatch,
                                                         capsys):
-    # the writer process dies, as if killed, in its first graymap
+    # the child dies, as if killed, in its first graymap
     caller = os.getpid()
     write_flux_pgm = fileio.write_flux_pgm
 
@@ -525,17 +541,16 @@ def test_a_dead_writer_process_ends_the_run_in_one_line(fast_scene, tmp_path, mo
     threads = threading.active_count()
     out_dir = tmp_path / "partial"
     assert main(["run", fast_scene, "--engine", "grt", "--out", str(out_dir)]) == 1
-    assert capsys.readouterr().err == ("error: HelioFluxError: the flux writer process "
-                                       "ended before it wrote its maps\n")
+    assert capsys.readouterr().err == CHILD_ENDED
     assert_nothing_left(threads)
     assert not os.listdir(out_dir)
 
 
 def test_a_failure_beside_the_writer_process_waits_for_it_before_cleaning_up(
         fast_scene, tmp_path, monkeypatch, capsys):
-    # the writer process writes its files only once this process has failed
-    # in its first flux CSV: a cleanup that did not wait for the writer
-    # would leave the writer's files behind
+    # the child writes its files only once this process has failed in its
+    # first flux CSV: a cleanup that did not wait for the child would leave
+    # the child's files behind
     caller = os.getpid()
     write_flux_csv = fileio.write_flux_csv
     go_read, go_write = os.pipe()

@@ -552,9 +552,9 @@ print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"
 
 def test_package_runs_without_scipy(tmp_path):
     # a fresh interpreter, since this one has scipy loaded; point it at the
-    # package under test.  A conv run loads neither scipy nor
-    # concurrent.futures and multiprocessing, which only a run that forks
-    # imports.
+    # package under test.  A conv day course loads neither scipy nor
+    # multiprocessing, which only a run that forks imports, nor
+    # concurrent.futures, which no module of the package imports.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))

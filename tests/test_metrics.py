@@ -157,19 +157,19 @@ def test_day_course_freezes_canting(table1_config, monkeypatch):
 
 def test_a_day_course_frees_grt_maps_once_their_mirror_group_ends(table1_config, monkeypatch):
     # Over 9 symmetric hours a time and the time at its mirrored sun run
-    # back to back: the heliostat's GRT pair is traced at both and the
-    # twin's maps are flips of it.  A group's pairs are freed when the next
+    # back to back: the heliostat's GRT maps are traced at both and the
+    # twin's maps are flips of them.  A group's maps are freed when the next
     # group starts, so only a few maps outlive their group's last time.
-    pair = metrics.grt_pair
+    trace = metrics.trace_flux_grt
     traced, alive = [], []
 
-    def tracking(*args):
+    def tracking(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in traced))
-        maps = pair(*args)
-        traced.extend(weakref.ref(m) for m in maps.values())
-        return maps
+        flux_map = trace(*args, **kwargs)
+        traced.append(weakref.ref(flux_map))
+        return flux_map
 
-    monkeypatch.setattr(metrics, "grt_pair", tracking)
+    monkeypatch.setattr(metrics, "trace_flux_grt", tracking)
     scene = hf.with_overrides(table1_config, grid_cells=64, surface_samples=4)
     latitude = scene.site.latitude
     scene = dataclasses.replace(scene, radial_nodes=2, azimuth_nodes=8, schedule=tuple(
@@ -189,54 +189,43 @@ def small_day(table1_config, engine):
 
 
 def test_every_map_of_a_both_day_course_is_read_only(table1_config, monkeypatch):
-    # grt_pair's off-axis maps come back from the worker process unpickled,
-    # which skips FluxMap.__init__; they are read-only like every other map
-    pair = metrics.grt_pair
-    paired = []
+    # the traced maps, which the twins' flips are views of, and every case map
+    trace = metrics.trace_flux_grt
+    traced = []
 
-    def keeping(*args):
-        maps = pair(*args)
-        paired.extend(maps.values())
-        return maps
+    def keeping(*args, **kwargs):
+        traced.append(trace(*args, **kwargs))
+        return traced[-1]
 
-    monkeypatch.setattr(metrics, "grt_pair", keeping)
-    with metrics.grt_worker() as worker:
-        _, maps = hf.day_course(small_day(table1_config, "both"), collect_maps=True,
-                                worker=worker)
-    assert len(paired) == 10 and len(maps) == 40
-    for flux_map in paired + list(maps.values()):
+    monkeypatch.setattr(metrics, "trace_flux_grt", keeping)
+    _, maps = hf.day_course(small_day(table1_config, "both"), collect_maps=True)
+    assert len(traced) == 10 and len(maps) == 40
+    for flux_map in traced + list(maps.values()):
         assert flux_map.values.flags.writeable is False
+
+
+@pytest.mark.parametrize("variants", [(), ("spherical", "spherical"), ("flat",),
+                                      "off_axis", ("off_axis", "off_axis", "spherical")],
+                         ids=["none", "repeated", "unknown", "string", "repeated_of_two"])
+def test_day_course_rejects_a_bad_variant_selection(variants, table1_config):
+    with pytest.raises(ConfigError, match="variants"):
+        hf.day_course(small_day(table1_config, "conv"), variants=variants)
 
 
 @pytest.mark.parametrize("engine", metrics.ENGINES)
 def test_a_day_course_leaves_no_process_or_thread_behind(engine, table1_config, monkeypatch):
-    # called without a worker, a day course traces serially and forks
-    # nothing; cli.run owns the GRT worker, and test_cli covers runs that
-    # fail on either side or lose the worker
+    # a day course runs in the calling process and forks nothing, whatever
+    # its variants; cli.run owns the run's one child, and test_cli covers
+    # runs that fail on either side or lose the child
     def forbidden():
         raise AssertionError("a day course forked")
 
     monkeypatch.setattr(os, "fork", forbidden)
     threads = threading.active_count()
-    hf.day_course(small_day(table1_config, engine))
+    for variants in (metrics.VARIANTS, ("off_axis",)):
+        hf.day_course(small_day(table1_config, engine), variants=variants)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
-
-
-def test_no_grt_worker_is_forked_beside_another_thread():
-    # the forked child would hold the other thread's locks as they were
-    done = threading.Event()
-    other = threading.Thread(target=done.wait)
-    other.start()
-    try:
-        with metrics.grt_worker() as worker:
-            assert worker is None
-    finally:
-        done.set()
-        other.join(timeout=60)
-    assert not other.is_alive()
-    with metrics.grt_worker() as worker:
-        assert worker is not None
 
 
 def test_repeated_conv_day_courses_leave_nothing_behind(table1_config, monkeypatch):

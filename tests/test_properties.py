@@ -219,42 +219,47 @@ def test_day_course_is_bit_identical_when_repeated(scene):
 @PROPERTY
 @given(scenes())
 @example(SPILLING_NOON)
+@example(ODD_NODES)
 # 12^2 samples x 1152 directions: three chunks a facet, eight facets
 @example(dataclasses.replace(TABLE1_NOON, surface_samples=12, radial_nodes=24,
                              azimuth_nodes=48))
-def test_paired_grt_maps_equal_serial_traces(scene):
-    # grt_pair traces the off-axis GRT map in a worker process while the
-    # calling process traces the spherical one.  Each map must equal its own
-    # serial trace bit for bit, and so must the pair that grt_pair traces
-    # serially without a worker.  The day course builds conv maps serially
-    # from the facets it traces the GRT pair from: each single-case conv map
-    # equals a serial convolve_flux of those facets.
-    alone = {h.name: hf.day_course(dataclasses.replace(scene, heliostats=(h,), cases=("single",)),
-                                   collect_maps=True)[1] for h in scene.heliostats}
-    with metrics.grt_worker() as worker:
-        for h in scene.heliostats:
-            layout = hf.module_centres(h)
-            cantings = frozen_cantings(h, layout, scene.reference)
+def test_a_day_course_of_one_variant_is_that_variant_of_the_full_one(scene):
+    # cli.run splits a GRT run by variant: a forked child runs the off-axis
+    # day course while the caller runs the spherical one.  Each must give,
+    # bit for bit, its variant's maps and figures of the full day course,
+    # twin flips included.  And every single-case map of a heliostat alone
+    # equals a serial trace_flux_grt / convolve_flux of its facets.
+    full, full_maps = hf.day_course(scene, collect_maps=True)
+    for variant in VARIANTS:
+        report, maps = hf.day_course(scene, collect_maps=True, variants=(variant,))
+        assert report.variants == (variant,)
+        assert_same_maps(maps, {key: m for key, m in full_maps.items() if key[1] == variant})
+        for own, whole in ((report.peak, full.peak), (report.intercepted, full.intercepted)):
+            assert own.keys() == {(case, variant) for case in scene.cases}
+            for key, figures in own.items():
+                assert figures.tobytes() == whole[key].tobytes(), key
+        assert report.engine_rms == {key: rms for key, rms in full.engine_rms.items()
+                                     if key[1] == variant}
+    for h in scene.heliostats:
+        layout = hf.module_centres(h)
+        cantings = frozen_cantings(h, layout, scene.reference)
+        for variant in VARIANTS:
+            _, alone = hf.day_course(dataclasses.replace(scene, heliostats=(h,),
+                                                         cases=("single",)),
+                                     collect_maps=True, variants=(variant,))
             for entry in scene.schedule:
                 sun = entry.position
-                facets = {variant: hf.realize_modules(h, layout, cantings[variant], sun)
-                          for variant in VARIANTS}
-                paired = metrics.grt_pair(scene, h, facets, sun, worker)
-                unpaired = metrics.grt_pair(scene, h, facets, sun)
-                for variant in VARIANTS:
-                    serial = {"grt": hf.trace_flux_grt(
-                        facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
-                        surface_samples=scene.surface_samples,
-                        radial_nodes=scene.radial_nodes, azimuth_nodes=scene.azimuth_nodes,
-                        heliostat_ids=(h.name,))}
-                    assert_same_maps({"grt": unpaired[variant]}, serial)
-                    got = {"grt": paired[variant]}
-                    if "conv" in ENGINES[scene.engine]:
-                        serial["conv"] = hf.convolve_flux(
-                            facets[variant], sun, scene.sunshape, scene.receiver, dni=scene.dni,
-                            surface_samples=scene.surface_samples, heliostat_ids=(h.name,))
-                        got["conv"] = alone[h.name][(entry.label, variant, "single", "conv")]
-                    assert_same_maps(got, serial)
+                facets = hf.realize_modules(h, layout, cantings[variant], sun)
+                serial = {"grt": hf.trace_flux_grt(
+                    facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                    surface_samples=scene.surface_samples, radial_nodes=scene.radial_nodes,
+                    azimuth_nodes=scene.azimuth_nodes, heliostat_ids=(h.name,))}
+                if "conv" in ENGINES[scene.engine]:
+                    serial["conv"] = hf.convolve_flux(
+                        facets, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                        surface_samples=scene.surface_samples, heliostat_ids=(h.name,))
+                assert_same_maps({engine: alone[(entry.label, variant, "single", engine)]
+                                  for engine in ENGINES[scene.engine]}, serial)
 
 
 def realizations(monkeypatch):
