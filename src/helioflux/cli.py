@@ -7,19 +7,23 @@ A run writes, into the output directory: a canting table per heliostat, a
 flux map (CSV and 16-bit graymap) per time/variant/case/engine, the
 concentration report, and a manifest echoing every effective parameter.
 Identical configurations produce bit-identical artifacts.  A run whose
-engines include GRT forks one child where the platform can fork: the child
-computes and writes the off-axis variant while this process computes and
-writes the spherical one and the rest; a conv run stays in this process.
-This is the only module that forks.  On failure the partial outputs are
-removed, a single-line ``error: ...`` goes to stderr and the exit status
-is nonzero.  A reader that closes the echo's pipe early is no failure.
+engines include GRT forks one child with ``os.fork`` where the platform
+can fork: the child computes and writes the off-axis variant while this
+process computes and writes the spherical one and the rest, and the
+child's figures come back pickled through one pipe; a conv run stays in
+this process.  This is the only module that forks.  On failure the
+partial outputs are removed, a single-line ``error: ...`` goes to stderr
+and the exit status is nonzero.  A reader that closes the echo's pipe
+early is no failure.
 """
 
 import argparse
 import contextlib
 import itertools
 import os
+import pickle
 import sys
+import threading
 import time
 
 from .errors import HelioFluxError
@@ -46,69 +50,58 @@ def build_parser():
     return parser
 
 
-def _stem(key):
-    label, variant, case, engine = key
-    return f"flux_{label}_{variant}_{case}_{engine}"
-
-
 def may_fork():
-    """Whether this process may fork a child: the platform has the "fork"
-    start method and no other Python thread is running.
+    """Whether this process may fork a child: the platform has ``os.fork``
+    and no other Python thread is running.
 
     Forking a process while another of its threads runs can leave a lock
     held for good in the child.
     """
-    # imported here: a conv run imports neither, and importing them slows importing helioflux
-    import multiprocessing
-    import threading
-
-    return "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
-
-
-def _call_and_send(function, args, sender):
-    # the forked child's work: function(*args)'s result, or the error that
-    # stopped it, sent through the pipe
-    try:
-        outcome = function(*args)
-    except BaseException as exc:
-        outcome = exc
-    try:
-        sender.send(outcome)
-    except Exception:  # an error that does not pickle
-        sender.send(HelioFluxError(f"{type(outcome).__name__}: {outcome}"))
+    return hasattr(os, "fork") and threading.active_count() == 1
 
 
 @contextlib.contextmanager
 def _forked(function, *args):
-    """Call ``function(*args)`` in a forked process while the ``with`` block
-    runs.
+    """Call ``function(*args)`` in a child made by ``os.fork`` while the
+    ``with`` block runs.
 
     The block gets a list that holds the call's result once it is left.
     The child starts with this process's memory, numpy state included,
-    copy-on-write; only the result is pickled.  Leaving the block, however
-    it is left, waits for the child to end.  An error that the child raised
-    is then raised here, unless the block raised one of its own; a child
-    that died raises HelioFluxError.
+    copy-on-write.  It pickles the call's result, or the error that stopped
+    it, into a pipe and ends with ``os._exit``.  Leaving the block, however
+    it is left, reads the pipe to its end and waits for the child to end.
+    An error that the child raised is then raised here, unless the block
+    raised one of its own; a child whose message is missing or cut short
+    raises HelioFluxError.
     """
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    reader, sender = context.Pipe(duplex=False)
-    result = []
-    with reader:
-        with sender:  # the child's end: closed here once the child has it
-            child = context.Process(target=_call_and_send, args=(function, args, sender))
-            child.start()
+    reader, sender = os.pipe()
+    # the child's end unbuffered: os._exit flushes nothing
+    with open(reader, "rb") as reader, open(sender, "wb", buffering=0) as sender:
+        child = os.fork()
+        if not child:
+            try:
+                outcome = function(*args)
+            except BaseException as exc:
+                outcome = exc
+            try:
+                sender.write(pickle.dumps(outcome))
+            except Exception:  # an error that does not pickle
+                sender.write(pickle.dumps(HelioFluxError(f"{type(outcome).__name__}: {outcome}")))
+            finally:
+                os._exit(0)
+        sender.close()  # the child's end: the pipe ends once the child's copy closes
+        result = []
         try:
             yield result
         finally:
             try:
-                outcome = reader.recv()
-            except EOFError:
-                outcome = HelioFluxError("the forked process of the run ended before "
-                                         "it finished")
+                message = reader.read()
             finally:
-                child.join()
+                os.waitpid(child, 0)
+    try:
+        outcome = pickle.loads(message)
+    except (EOFError, pickle.UnpicklingError):
+        outcome = HelioFluxError("the forked process of the run ended before it finished")
     if isinstance(outcome, BaseException):
         raise outcome
     result.append(outcome)
@@ -153,7 +146,7 @@ def run(config):
 
     try:
         engines = ENGINES[config.engine]
-        paths = {key: (target(_stem(key) + ".csv"), target(_stem(key) + ".pgm"))
+        paths = {key: [target("_".join(("flux",) + key) + ext) for ext in (".csv", ".pgm")]
                  for key in itertools.product([entry.label for entry in config.schedule],
                                               VARIANTS, config.cases, engines)}
         variants, child = VARIANTS, contextlib.nullcontext([])

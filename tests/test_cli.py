@@ -2,8 +2,8 @@
 
 import contextlib
 import filecmp
-import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -117,8 +117,8 @@ def test_run_records_engine_rms_with_both_engines(fast_scene, tmp_path):
 
 
 def test_a_conv_run_writes_the_conv_files_of_a_both_run(fast_scene, tmp_path):
-    # conv maps and the report they feed do not depend on the GRT pair traced
-    # beside them, half of it in the worker process; only the manifest names
+    # conv maps and the report they feed do not depend on the GRT maps traced
+    # beside them, half of them in the run's child; only the manifest names
     # the engine
     conv, both = str(tmp_path / "conv"), str(tmp_path / "both")
     assert main(["run", fast_scene, "--engine", "conv", "--out", conv]) == 0
@@ -325,29 +325,29 @@ TRACE_FAILED = TraceFailed("trace failed")
 
 
 def assert_nothing_left(threads):
-    # a run joins its child process
-    assert multiprocessing.active_children() == []
+    # a run reaps its child: this process has none left, running or ended
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_a_failing_grt_thread_ends_the_run_like_a_serial_failure(failing, fast_scene,
-                                                                 tmp_path, monkeypatch,
-                                                                 capsys, shared_log):
-    # A GRT run forks one child, the worker, with the caller's numpy state:
-    # it traces the off-axis GRT maps while the caller traces the spherical
-    # ones.  An error in a trace on either side ends the run as that very
-    # error, with the caller's state as it was, and once the child has
-    # ended nothing of the run is left.  Each trace logs its numpy state,
-    # the child's reaching this process through the shared log.
+@pytest.mark.parametrize("failing", ["child", "caller"])
+def test_a_failing_trace_on_either_side_ends_the_run_like_a_serial_failure(
+        failing, fast_scene, tmp_path, monkeypatch, capsys, shared_log):
+    # A GRT run forks one child with the caller's numpy state: it traces
+    # the off-axis GRT maps while the caller traces the spherical ones.  An
+    # error in a trace on either side ends the run as that very error, with
+    # the caller's state as it was, and once the child has ended nothing of
+    # the run is left.  Each trace logs its numpy state, the child's
+    # reaching this process through the shared log.
     error = TRACE_FAILED
     trace = metrics.trace_flux_grt
     caller = os.getpid()
 
     def failing_trace(*args, **kwargs):
         shared_log.append((np.getbufsize(), np.geterr()))
-        on_worker = os.getpid() != caller
-        if on_worker == (failing == "worker"):
+        in_child = os.getpid() != caller
+        if in_child == (failing == "child"):
             raise error
         return trace(*args, **kwargs)
 
@@ -380,8 +380,8 @@ CHILD_ENDED = ("error: HelioFluxError: the forked process of the run ended befor
                "finished\n")
 
 
-def test_a_dead_grt_worker_ends_the_run_like_a_failure(fast_scene, tmp_path, monkeypatch,
-                                                       capsys):
+def test_a_child_that_dies_mid_trace_ends_the_run_in_one_line(fast_scene, tmp_path,
+                                                              monkeypatch, capsys):
     # the child dies, as if killed, in its first trace; the forked child
     # inherits this patch, the caller's traces go through
     trace = metrics.trace_flux_grt
@@ -421,7 +421,7 @@ def test_may_fork_says_no_beside_another_thread():
 
 
 @pytest.mark.parametrize("engine", ["both", "grt"])
-def test_a_grt_run_writes_the_same_files_with_its_writer_process_as_without(
+def test_a_grt_run_writes_the_same_files_with_its_child_as_without(
         engine, fast_scene, tmp_path, monkeypatch, shared_log):
     # A GRT run forks one child, which runs the off-axis day course and
     # writes its maps' files while this process runs the spherical one and
@@ -474,8 +474,8 @@ def test_a_grt_run_writes_the_same_files_with_its_writer_process_as_without(
     assert (mismatch, errors) == ([], [])
 
 
-def test_an_error_in_the_writer_process_ends_the_run_as_that_error(fast_scene, tmp_path,
-                                                                  monkeypatch, capsys):
+def test_an_error_in_the_childs_writers_ends_the_run_as_that_error(fast_scene, tmp_path,
+                                                                   monkeypatch, capsys):
     caller = os.getpid()
     write_flux_pgm = fileio.write_flux_pgm
 
@@ -526,8 +526,8 @@ def test_a_writer_error_that_does_not_pickle_ends_the_run_in_one_line(fast_scene
     assert not os.listdir(out_dir)
 
 
-def test_a_dead_writer_process_ends_the_run_in_one_line(fast_scene, tmp_path, monkeypatch,
-                                                        capsys):
+def test_a_child_that_dies_mid_write_ends_the_run_in_one_line(fast_scene, tmp_path,
+                                                              monkeypatch, capsys):
     # the child dies, as if killed, in its first graymap
     caller = os.getpid()
     write_flux_pgm = fileio.write_flux_pgm
@@ -546,7 +546,30 @@ def test_a_dead_writer_process_ends_the_run_in_one_line(fast_scene, tmp_path, mo
     assert not os.listdir(out_dir)
 
 
-def test_a_failure_beside_the_writer_process_waits_for_it_before_cleaning_up(
+@pytest.mark.parametrize("kept", [lambda size: size // 2, lambda size: size - 1],
+                         ids=["half", "all_but_the_last_byte"])
+def test_a_child_message_cut_short_ends_the_run_in_one_line(kept, fast_scene, tmp_path,
+                                                             monkeypatch, capsys):
+    # the child's figures reach the pipe cut short: the forked child
+    # inherits this patch of the pickle.dumps that cli calls, the caller's
+    # calls go through
+    caller = os.getpid()
+    dumps = pickle.dumps
+
+    def cut_short(*args, **kwargs):
+        message = dumps(*args, **kwargs)
+        return message if os.getpid() == caller else message[:kept(len(message))]
+
+    monkeypatch.setattr(cli.pickle, "dumps", cut_short)
+    threads = threading.active_count()
+    out_dir = tmp_path / "partial"
+    assert main(["run", fast_scene, "--engine", "both", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == CHILD_ENDED
+    assert_nothing_left(threads)
+    assert not os.listdir(out_dir)
+
+
+def test_a_failure_in_the_caller_waits_for_the_child_before_cleaning_up(
         fast_scene, tmp_path, monkeypatch, capsys):
     # the child writes its files only once this process has failed in its
     # first flux CSV: a cleanup that did not wait for the child would leave
@@ -570,9 +593,12 @@ def test_a_failure_beside_the_writer_process_waits_for_it_before_cleaning_up(
         os.close(go_read)
         os.close(go_write)
     assert capsys.readouterr().err == "error: OSError: caller failed\n"
-    left = multiprocessing.active_children()
-    for child in left:
-        child.join()
+    left = []  # every child of this process, once ended: none if the run reaped its own
+    while True:
+        try:
+            left.append(os.waitpid(-1, 0))
+        except ChildProcessError:
+            break
     assert not os.listdir(out_dir)
     assert left == []
 

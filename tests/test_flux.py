@@ -540,11 +540,18 @@ def test_fast_length_matches_scipy_next_fast_len():
 
 NO_SCIPY_RUN = """
 import dataclasses
+import os
 import sys
 import helioflux as hf
+from helioflux import cli
 scene = hf.load_config(hf.table1_scene_path())
 scene = hf.with_overrides(scene, engine="conv", grid_cells=64, surface_samples=4)
-hf.day_course(dataclasses.replace(scene, schedule=scene.schedule[2:3], cases=("single",)))
+scene = dataclasses.replace(scene, schedule=scene.schedule[2:3], cases=("single",))
+hf.day_course(scene)
+forks = []
+os.register_at_fork(before=lambda: forks.append("fork"))
+cli.run(hf.with_overrides(scene, engine="grt", out_dir="out"))
+assert forks == ["fork"], forks
 print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"
                or m in ("concurrent.futures", "multiprocessing")))
 """
@@ -552,8 +559,8 @@ print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"
 
 def test_package_runs_without_scipy(tmp_path):
     # a fresh interpreter, since this one has scipy loaded; point it at the
-    # package under test.  A conv day course loads neither scipy nor
-    # multiprocessing, which only a run that forks imports, nor
+    # package under test.  Neither a conv day course nor a GRT run, which
+    # forks its one child with os.fork, loads scipy, multiprocessing or
     # concurrent.futures, which no module of the package imports.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
