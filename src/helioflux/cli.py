@@ -10,10 +10,12 @@ Identical configurations produce bit-identical artifacts.  A run whose
 engines include GRT forks one child with ``os.fork`` where the platform
 can fork: the child computes and writes the off-axis variant while this
 process computes and writes the spherical one and the rest, and the
-child's figures come back pickled through one pipe; a conv run stays in
+child's report comes back pickled through one pipe; a conv run stays in
 this process.  This is the only module that forks.  On failure the
-partial outputs are removed, a single-line ``error: ...`` goes to stderr
-and the exit status is nonzero.  A reader that closes the echo's pipe
+child is killed, the partial outputs are removed, a single-line
+``error: ...`` goes to stderr and the exit status is nonzero.  SIGTERM
+during a run also kills the child and removes the partial outputs; the
+exit status is then 143.  A reader that closes the echo's pipe
 early is no failure.
 """
 
@@ -22,6 +24,7 @@ import contextlib
 import itertools
 import os
 import pickle
+import signal
 import sys
 import threading
 import time
@@ -68,11 +71,14 @@ def _forked(function, *args):
     The block gets a list that holds the call's result once it is left.
     The child starts with this process's memory, numpy state included,
     copy-on-write.  It pickles the call's result, or the error that stopped
-    it, into a pipe and ends with ``os._exit``.  Leaving the block, however
-    it is left, reads the pipe to its end and waits for the child to end.
-    An error that the child raised is then raised here, unless the block
-    raised one of its own; a child whose message is missing or cut short
-    raises HelioFluxError.
+    it, into a pipe and ends with ``os._exit``.  Leaving the block without
+    an error reads the pipe to its end.  Leaving it with an error, or any
+    error in that read (SIGTERM's ``SystemExit`` or a ``KeyboardInterrupt``
+    too), kills the child with SIGKILL instead of waiting for its call, and
+    that error is raised.  Either way the child is reaped before the
+    ``with`` statement ends.  An error that the child raised is then raised
+    here; a child whose message is missing or cut short raises
+    HelioFluxError.
     """
     reader, sender = os.pipe()
     # the child's end unbuffered: os._exit flushes nothing
@@ -93,11 +99,12 @@ def _forked(function, *args):
         result = []
         try:
             yield result
+            message = reader.read()
+        except BaseException:
+            os.kill(child, signal.SIGKILL)
+            raise
         finally:
-            try:
-                message = reader.read()
-            finally:
-                os.waitpid(child, 0)
+            os.waitpid(child, 0)
     try:
         outcome = pickle.loads(message)
     except (EOFError, pickle.UnpicklingError):
@@ -107,18 +114,14 @@ def _forked(function, *args):
     result.append(outcome)
 
 
-def _write_maps(maps, paths):
+def _variant_run(config, paths, variants):
+    """Run the day course of ``variants``, write its flux files to their
+    ``paths`` and return its report."""
+    report, maps = day_course(config, collect_maps=True, variants=variants)
     for key in sorted(maps):
         fileio.write_flux_csv(maps[key], paths[key][0])
         fileio.write_flux_pgm(maps[key], paths[key][1])
-
-
-def _off_axis_run(config, paths):
-    # the forked child's run: the off-axis day course and its flux files;
-    # only the figures go back
-    report, maps = day_course(config, collect_maps=True, variants=("off_axis",))
-    _write_maps(maps, paths)
-    return {name: getattr(report, name) for name in ("peak", "intercepted", "engine_rms")}
+    return report
 
 
 def run(config):
@@ -126,14 +129,14 @@ def run(config):
 
     Where the engines include GRT and ``may_fork`` allows, the run forks
     one child at its start.  The child runs the off-axis day course, writes
-    its flux files and sends back only its figures, while this process runs
-    the spherical day course and writes its flux files and the canting
-    tables.  The variants share no work but the canting sets, so the files
-    are those of a serial run, byte for byte.  This process then merges the
-    child's figures into its report and writes the report and the
-    manifest.  It names every path, the child's too, before the fork, so on
-    any failure it waits for the child to end and then removes each file of
-    the run.  A conv run forks nothing.
+    its flux files and sends back its report, while this process runs the
+    spherical day course and writes its flux files and the canting tables.
+    The variants share no work but the canting sets, so the files are
+    those of a serial run, byte for byte.  This process then merges the
+    child's report into its own and writes the report and the manifest.
+    It names every path, the child's too, before the fork, so on any
+    failure, SIGTERM's ``SystemExit`` included, it kills and reaps the
+    child and then removes each file of the run.  A conv run forks nothing.
     """
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -151,20 +154,15 @@ def run(config):
                                               VARIANTS, config.cases, engines)}
         variants, child = VARIANTS, contextlib.nullcontext([])
         if "grt" in engines and may_fork():
-            variants = ("spherical",)
-            child = _forked(_off_axis_run, config, paths)
-        with child as figures:
-            report, maps = day_course(config, collect_maps=True, variants=variants)
-            for name in sorted(report.heliostats):
+            variants, child = ("spherical",), _forked(_variant_run, config, paths, ("off_axis",))
+        with child as others:
+            report = _variant_run(config, paths, variants)
+            for name, h in sorted(report.heliostats.items()):
                 cantings = report.cantings[name]
-                fileio.write_canting_csv(module_centres(report.heliostats[name]),
-                                         cantings["spherical"], cantings["off_axis"],
-                                         target(f"canting_{name}.csv"))
-            _write_maps(maps, paths)
-        for merged in figures:  # the child's figures, if a child ran
-            report.variants = VARIANTS
-            for name, table in merged.items():
-                getattr(report, name).update(table)
+                fileio.write_canting_csv(module_centres(h), cantings["spherical"],
+                                         cantings["off_axis"], target(f"canting_{name}.csv"))
+        for other in others:  # the child's report, if a child ran
+            report.merge(other)
 
         fileio.write_concentration_csv(report, target("concentration.csv"))
         fileio.write_manifest(config, report, target("manifest.txt"))
@@ -195,7 +193,12 @@ def main(argv=None):
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 0
         started = time.monotonic()
-        written = run(config)
+        # SIGTERM ends the run as an error does: its child killed, its files removed
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        try:
+            written = run(config)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
         elapsed = time.monotonic() - started
         print(f"wrote {len(written)} files to {config.out_dir} in {elapsed:.1f}s",
               file=sys.stderr)

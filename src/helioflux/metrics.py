@@ -78,7 +78,10 @@ class ConcentrationReport:
     maps the name of every simulated heliostat, mirror twins included, to
     its spec; ``cantings[name]`` keeps its frozen canting set for every
     variant, simulated or not, ``engine_rms`` the cross-engine RMS/peak
-    figures keyed (label, variant, case) when both engines ran.
+    figures keyed (label, variant, case) when both engines ran.  ``peak``,
+    ``intercepted`` and ``engine_rms`` are the per-variant figures, which
+    ``merge`` joins across reports of one scene's variants, such as the two
+    halves of a run split by variant.
     """
 
     labels: tuple
@@ -90,6 +93,15 @@ class ConcentrationReport:
     heliostats: dict = field(default_factory=dict)
     cantings: dict = field(default_factory=dict)
     engine_rms: dict = field(default_factory=dict)
+
+    def merge(self, other):
+        """Take in ``other``, a report of this scene's other variants: its
+        ``peak``, ``intercepted`` and ``engine_rms`` entries join this
+        report's, and ``variants`` names both reports' in ``VARIANTS``
+        order."""
+        self.variants = tuple(v for v in VARIANTS if v in self.variants + other.variants)
+        for name in ("peak", "intercepted", "engine_rms"):
+            getattr(self, name).update(getattr(other, name))
 
     @property
     def gain(self):

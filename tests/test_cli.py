@@ -4,9 +4,11 @@ import contextlib
 import filecmp
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -364,8 +366,14 @@ def test_a_failing_trace_on_either_side_ends_the_run_like_a_serial_failure(
             assert raised.value is error
             assert_nothing_left(threads)
             assert (np.getbufsize(), np.geterr()) == state
-            # the failing side's first trace and both of the other side's
-            assert shared_log.read() == [state] * 3
+            log = shared_log.read()
+            if failing == "child":
+                # the child's first trace and both of the caller's
+                assert log == [state] * 3
+            else:
+                # the caller's first trace; the caller then kills the child,
+                # which has logged none, one or both of its traces
+                assert log and all(entry == state for entry in log)
         finally:
             np.setbufsize(bufsize)
     assert not os.listdir(tmp_path / "direct")
@@ -420,14 +428,25 @@ def test_may_fork_says_no_beside_another_thread():
     assert cli.may_fork()
 
 
-@pytest.mark.parametrize("engine", ["both", "grt"])
+# the fast scene with a sun and its mirror image, and the pair case: every
+# twin GRT map is a flip of its heliostat's
+PAIRED_SCENE = FAST_SCENE.replace("hours = 9.0, 12.0", "hours = 9.0, 12.0, 15.0").replace(
+    "cases = single", "cases = single, symmetric_pair")
+
+
+@pytest.mark.parametrize("engine, text", [("both", FAST_SCENE), ("grt", FAST_SCENE),
+                                          ("both", PAIRED_SCENE)],
+                         ids=["both", "grt", "both_paired"])
 def test_a_grt_run_writes_the_same_files_with_its_child_as_without(
-        engine, fast_scene, tmp_path, monkeypatch, shared_log):
-    # A GRT run forks one child, which runs the off-axis day course and
-    # writes its maps' files while this process runs the spherical one and
-    # writes the rest.  Beside another thread the fork rule keeps the whole
-    # run in this process.  Each day course and each flux CSV logs whether
-    # this process ran it.
+        engine, text, tmp_path, monkeypatch, shared_log):
+    # A GRT run forks one child, which runs the off-axis day course, writes
+    # its maps' files and sends back its report while this process runs
+    # the spherical one and writes the rest.  Beside another thread the
+    # fork rule keeps the whole run in this process.  Each day course and
+    # each flux CSV logs whether this process ran it.
+    scene = tmp_path / "scene.scene"
+    scene.write_text(text, encoding="utf-8")
+    loaded = hf.load_config(str(scene))
     caller = os.getpid()
     fork, day_course, write_flux_csv = os.fork, cli.day_course, fileio.write_flux_csv
     forks = []
@@ -453,7 +472,7 @@ def test_a_grt_run_writes_the_same_files_with_its_child_as_without(
         (tmp_path / mode).mkdir()
         monkeypatch.chdir(tmp_path / mode)
         with another_thread() if mode == "serial" else contextlib.nullcontext():
-            assert main(["run", fast_scene, "--engine", engine, "--out", "out"]) == 0
+            assert main(["run", str(scene), "--engine", engine, "--out", "out"]) == 0
         assert_nothing_left(threads)
         assert len(forks) == 1
         logs[mode] = shared_log.read()
@@ -461,7 +480,7 @@ def test_a_grt_run_writes_the_same_files_with_its_child_as_without(
     assert sorted(r for r in logs["split"] if r[0] == "day") == [
         ("day", ("off_axis",), False), ("day", ("spherical",), True)]
     assert [r for r in logs["serial"] if r[0] == "day"] == [("day", metrics.VARIANTS, True)]
-    maps = 2 * 2 * len(ENGINES[engine])  # times x variants x engines, case single
+    maps = len(loaded.schedule) * 2 * len(loaded.cases) * len(ENGINES[engine])
     for mode, log in logs.items():
         written = [(name, by_caller) for kind, name, by_caller in log if kind == "csv"]
         assert len(written) == maps
@@ -601,6 +620,96 @@ def test_a_failure_in_the_caller_waits_for_the_child_before_cleaning_up(
             break
     assert not os.listdir(out_dir)
     assert left == []
+
+
+def test_a_failure_in_the_caller_kills_the_child_instead_of_waiting_for_it(
+        fast_scene, tmp_path, monkeypatch, capsys):
+    # each of the child's GRT traces sleeps 8 s while the caller fails in
+    # its first flux CSV: the caller kills its child at once, rather than
+    # waiting ~16 s for the child's whole variant, and nothing is left
+    caller = os.getpid()
+    trace, write_flux_csv = metrics.trace_flux_grt, fileio.write_flux_csv
+
+    def slow_trace(*args, **kwargs):
+        if os.getpid() != caller:
+            time.sleep(8)
+        return trace(*args, **kwargs)
+
+    def failing(flux_map, path):
+        if os.getpid() == caller:
+            raise OSError("caller failed")
+        write_flux_csv(flux_map, path)
+
+    monkeypatch.setattr(metrics, "trace_flux_grt", slow_trace)
+    monkeypatch.setattr(fileio, "write_flux_csv", failing)
+    threads = threading.active_count()
+    out_dir = tmp_path / "partial"
+    started = time.monotonic()
+    assert main(["run", fast_scene, "--engine", "grt", "--out", str(out_dir)]) == 1
+    assert time.monotonic() - started < 4.0
+    assert capsys.readouterr().err == "error: OSError: caller failed\n"
+    assert_nothing_left(threads)
+    assert not os.listdir(out_dir)
+
+
+# a run whose every flux CSV, in the caller and in its child, takes 1 s
+# more, and which logs each process that starts a day course
+SLOW_RUN = """
+import os, sys, time
+from helioflux import cli, fileio
+
+day_course, write_flux_csv = cli.day_course, fileio.write_flux_csv
+
+def logged_day_course(*args, **kwargs):
+    with open(sys.argv[1], "a") as log:
+        log.write(f"{os.getpid()}\\n")
+    return day_course(*args, **kwargs)
+
+def slow_csv(flux_map, path):
+    write_flux_csv(flux_map, path)
+    time.sleep(1.0)
+
+cli.day_course, fileio.write_flux_csv = logged_day_course, slow_csv
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_sigterm_ends_a_forked_run_whole(fast_scene, tmp_path):
+    # SIGTERM to the caller of a GRT run once the run's first file is
+    # written: the run exits with 128 + SIGTERM, its child is killed and
+    # reaped, every file of the run is removed, and none appears later
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    log, out_dir = tmp_path / "pids", tmp_path / "out"
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_RUN, str(log), "run", fast_scene,
+                             "--engine", "grt", "--out", str(out_dir)],
+                            stderr=subprocess.PIPE, env=env, text=True)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        # both processes in their day courses, and a file written
+        while not (log.is_file() and len(log.read_text().split()) == 2
+                   and out_dir.is_dir() and os.listdir(out_dir)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        pids = [int(line) for line in log.read_text().split()]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        assert proc.stderr.read() == ""
+        assert proc.pid in pids
+        assert not os.listdir(out_dir)
+        time.sleep(2.0)  # an orphaned child would write its next files by now
+        assert not os.listdir(out_dir)
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        for pid in pids:  # whatever of the run outlived it
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.stderr.close()
+        proc.wait()
 
 
 def test_a_conv_run_forks_no_process(fast_scene, tmp_path, monkeypatch):

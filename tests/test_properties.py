@@ -168,6 +168,25 @@ def member_sum_maps(scene):
     return summed
 
 
+def same_entries(a, b):
+    """Whether ``a`` and ``b`` hold the same entries, arrays compared by
+    their bytes, through dicts, tuples and dataclasses."""
+    if isinstance(a, np.ndarray):
+        return (type(b) is np.ndarray and (a.dtype, a.shape) == (b.dtype, b.shape)
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, dict):
+        return (type(b) is dict and a.keys() == b.keys()
+                and all(same_entries(value, b[key]) for key, value in a.items()))
+    if isinstance(a, tuple):
+        return (type(b) is tuple and len(a) == len(b)
+                and all(map(same_entries, a, b)))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and same_entries(
+            tuple(getattr(a, f.name) for f in dataclasses.fields(a)),
+            tuple(getattr(b, f.name) for f in dataclasses.fields(b)))
+    return type(a) is type(b) and a == b
+
+
 def assert_same_maps(maps, expected):
     assert maps.keys() == expected.keys()
     for key, flux_map in maps.items():
@@ -230,8 +249,10 @@ def test_a_day_course_of_one_variant_is_that_variant_of_the_full_one(scene):
     # twin flips included.  And every single-case map of a heliostat alone
     # equals a serial trace_flux_grt / convolve_flux of its facets.
     full, full_maps = hf.day_course(scene, collect_maps=True)
+    reports = {}
     for variant in VARIANTS:
         report, maps = hf.day_course(scene, collect_maps=True, variants=(variant,))
+        reports[variant] = report
         assert report.variants == (variant,)
         assert_same_maps(maps, {key: m for key, m in full_maps.items() if key[1] == variant})
         for own, whole in ((report.peak, full.peak), (report.intercepted, full.intercepted)):
@@ -240,6 +261,12 @@ def test_a_day_course_of_one_variant_is_that_variant_of_the_full_one(scene):
                 assert figures.tobytes() == whole[key].tobytes(), key
         assert report.engine_rms == {key: rms for key, rms in full.engine_rms.items()
                                      if key[1] == variant}
+    # the caller of a split run merges the child's report into its own: the
+    # merged report is the full one, on every field
+    merged = reports["spherical"]
+    merged.merge(reports["off_axis"])
+    for entry in dataclasses.fields(hf.ConcentrationReport):
+        assert same_entries(getattr(merged, entry.name), getattr(full, entry.name)), entry.name
     for h in scene.heliostats:
         layout = hf.module_centres(h)
         cantings = frozen_cantings(h, layout, scene.reference)
