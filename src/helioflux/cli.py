@@ -6,17 +6,20 @@
 A run writes, into the output directory: a canting table per heliostat, a
 flux map (CSV and 16-bit graymap) per time/variant/case/engine, the
 concentration report, and a manifest echoing every effective parameter.
-Identical configurations produce bit-identical artifacts.  A run whose
-engines include GRT forks one child with ``os.fork`` where the platform
-can fork: the child computes and writes the off-axis variant while this
-process computes and writes the spherical one and the rest, and the
-child's report comes back pickled through one pipe; a conv run stays in
-this process.  This is the only module that forks.  On failure the
-child is killed, the partial outputs are removed, a single-line
-``error: ...`` goes to stderr and the exit status is nonzero.  SIGTERM
-during a run also kills the child and removes the partial outputs; the
-exit status is then 143.  A reader that closes the echo's pipe
-early is no failure.
+Identical configurations produce bit-identical artifacts.  Each process
+writes a flux map's files as its day course composes the map, so it holds
+only the maps of the current mirror group, and writes the report and the
+manifest last.  A run whose engines include GRT forks one child with
+``os.fork`` where the platform can fork: the child computes and writes
+the off-axis variant while this process computes and writes the
+spherical one and the rest, and the child's report comes back pickled
+through one pipe; a conv run stays in this process.  This is the only
+module that forks.  On failure the child is killed, the partial outputs
+are removed, a single-line ``error: ...`` goes to stderr and the exit
+status is nonzero.  SIGTERM during a run also kills the child and
+removes the partial outputs; the exit status is then 143.  A caller
+killed by SIGKILL can do neither: its child stops before its next flux
+file.  A reader that closes the echo's pipe early is no failure.
 """
 
 import argparse
@@ -114,23 +117,33 @@ def _forked(function, *args):
     result.append(outcome)
 
 
-def _variant_run(config, paths, variants):
-    """Run the day course of ``variants``, write its flux files to their
-    ``paths`` and return its report."""
-    report, maps = day_course(config, collect_maps=True, variants=variants)
-    for key in sorted(maps):
-        fileio.write_flux_csv(maps[key], paths[key][0])
-        fileio.write_flux_pgm(maps[key], paths[key][1])
-    return report
+def _variant_run(config, paths, variants, caller=None):
+    """Run the day course of ``variants`` and return its report, writing
+    each flux map's files to their ``paths`` as the day course composes it.
+
+    A forked child gets its ``caller``'s pid.  Before each flux file it
+    checks that the caller is still its parent; once the caller has gone
+    (SIGKILL, which the caller cannot catch), it raises HelioFluxError and
+    writes nothing more.  It removes nothing: the files are the caller's
+    to name.
+    """
+    def write(key, flux_map):
+        for writer, path in zip((fileio.write_flux_csv, fileio.write_flux_pgm), paths[key]):
+            if caller is not None and os.getppid() != caller:
+                raise HelioFluxError(f"the run's calling process {caller} has ended")
+            writer(flux_map, path)
+
+    return day_course(config, collect_maps=write, variants=variants)
 
 
 def run(config):
     """Execute the scene and write the artifact set; returns written paths.
 
     Where the engines include GRT and ``may_fork`` allows, the run forks
-    one child at its start.  The child runs the off-axis day course, writes
-    its flux files and sends back its report, while this process runs the
-    spherical day course and writes its flux files and the canting tables.
+    one child at its start.  The child runs the off-axis day course, writing
+    each flux map's files as it is composed, and sends back its report,
+    while this process does the same for the spherical day course and then
+    writes the canting tables.
     The variants share no work but the canting sets, so the files are
     those of a serial run, byte for byte.  This process then merges the
     child's report into its own and writes the report and the manifest.
@@ -154,7 +167,8 @@ def run(config):
                                               VARIANTS, config.cases, engines)}
         variants, child = VARIANTS, contextlib.nullcontext([])
         if "grt" in engines and may_fork():
-            variants, child = ("spherical",), _forked(_variant_run, config, paths, ("off_axis",))
+            variants, child = ("spherical",), _forked(_variant_run, config, paths,
+                                                      ("off_axis",), os.getpid())
         with child as others:
             report = _variant_run(config, paths, variants)
             for name, h in sorted(report.heliostats.items()):

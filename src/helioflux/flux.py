@@ -91,8 +91,11 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_sample
     ``tests/test_flux.py`` holds the cells to that formula on the grids it
     covers; that no cell moves elsewhere is measured, not guaranteed.
 
-    Each facet is traced in chunks of sample rows, working in place in
-    buffers that all chunks and facets share.  A chunk's rays get a flat bin
+    Each facet is traced in chunks of sample rows, working in place in four
+    float64 buffers and two boolean ones that all chunks and facets share:
+    each ray's weight overwrites its cos of incidence once the reflected
+    direction is known, and its bin overwrites, as int64, the distance t to
+    the plane once the landing cell is known.  A chunk's rays get a flat bin
     ``n * row + column``, or the spill bin ``n * n`` past the n x n grid,
     and ``np.add.at`` deposits them into the map's own accumulator while the
     chunk is still in cache.  Each bin, the spill bin included, sums its
@@ -108,8 +111,6 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_sample
     chunk = (min(rows, n_samples), n_dirs)
     work = np.empty((4,) + chunk)
     flags = np.empty((2,) + chunk, dtype=bool)
-    weights = np.empty(chunk)
-    bins = np.empty(chunk, dtype=np.int64)
     # numpy buffers a broadcast operand whose rows are shorter than its ufunc
     # buffer (8192 elements by default): on a 28 x 1152 chunk a (rows, 1) x
     # (dirs,) product took 40-45 us with that buffer and 11-13 us with a
@@ -144,20 +145,20 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_sample
                 nx2, ny2, nz2 = (normals2[start:stop, k, None] for k in range(3))
                 cos_i, out_x, out_y, out_z = work[:, :stop - start]
                 on_grid, test = flags[:, :stop - start]
-                weight, flat = weights[:stop - start], bins[:stop - start]
 
                 # cos of incidence per (surface, direction) pair
                 np.multiply(nx, sx, out=cos_i)
                 cos_i += np.multiply(ny, sy, out=out_x)
                 cos_i += np.multiply(nz, sz, out=out_x)
-                # grazing cone directions below the local facet horizon carry no power
-                np.maximum(cos_i, 0.0, out=weight)
-                weight *= scale
-                weight *= dir_weights
                 # outgoing direction R = cos_i (2 n) - S for every pair
                 np.subtract(np.multiply(cos_i, nx2, out=out_x), sx, out=out_x)
                 np.subtract(np.multiply(cos_i, ny2, out=out_y), sy, out=out_y)
                 np.subtract(np.multiply(cos_i, nz2, out=out_z), sz, out=out_z)
+                # the ray weight, in place of cos_i; grazing cone directions
+                # below the local facet horizon carry no power
+                weight = np.maximum(cos_i, 0.0, out=cos_i)
+                weight *= scale
+                weight *= dir_weights
 
                 # intersection with the receiver plane x' = 0 in cell units,
                 # t = q / R_x, then the cell coordinates floor(t R + pc) and the
@@ -165,8 +166,8 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_sample
                 # or grazing it may reach inf or nan here; the on-grid test
                 # rejects those before any cast.
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    t = np.divide(qx, out_x, out=cos_i)
                     np.less(out_x, 0.0, out=on_grid)
+                    t = np.divide(qx, out_x, out=out_x)
                     for land, p in ((out_y, pcy), (out_z, pcz)):
                         land *= t
                         land += p
@@ -177,6 +178,7 @@ def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_sample
                     out_y += out_z
                 # every other ray goes to the spill bin
                 np.copyto(out_y, n * n, where=np.logical_not(on_grid, out=on_grid))
+                flat = out_x.view(np.int64)  # t is spent: its buffer takes the bins
                 flat[...] = out_y  # whole numbers, exact below 2**53
                 np.add.at(power, flat.ravel(), weight.ravel())
     finally:

@@ -183,8 +183,12 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
     already meets them.
     When the engine is "both", the reported numbers come from the
     convolution engine and the GRT maps feed the cross-engine RMS record.
-    Returns the report, and the map dictionary keyed
-    (label, variant, case, engine) when ``collect_maps`` is set.
+    Each case map goes out once, as soon as it is composed, keyed
+    (label, variant, case, engine).  A callable ``collect_maps`` is called
+    with each key and map, and the report alone is returned; the maps of a
+    mirror group are then held only while the group runs.  Any other true
+    ``collect_maps`` collects every map into a dictionary, returned with the
+    report.
     """
     variants = tuple(variants)
     if not variants or len(set(variants)) < len(variants) or not set(variants) <= set(VARIANTS):
@@ -203,6 +207,7 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
                        for name, h in report.heliostats.items()}
 
     maps = {}
+    emit = collect_maps if callable(collect_maps) else collect_maps and maps.__setitem__
     for (case, variant) in ((c, v) for c in cases for v in variants):
         report.peak[(case, variant)] = np.zeros(len(schedule))
         report.intercepted[(case, variant)] = np.zeros(len(schedule))
@@ -269,8 +274,8 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
                         combined = case_maps[eng] = functools.reduce(
                             map_add, (single[h.name][(variant, eng)] for h in members[case]))
                         peaks[eng] = concentration_ratio(combined)
-                        if collect_maps:
-                            maps[(entry.label, variant, case, eng)] = combined
+                        if emit:
+                            emit((entry.label, variant, case, eng), combined)
                     if len(engines) == 2:
                         diff = case_maps["conv"].values - case_maps["grt"].values
                         rms = math.sqrt(float((diff * diff).mean()))
@@ -279,6 +284,6 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
                     report.intercepted[(case, variant)][it] = intercepted_power(
                         case_maps[report.engine], scene.receiver.diameter)
 
-    if collect_maps:
+    if collect_maps and not callable(collect_maps):
         return report, maps
     return report

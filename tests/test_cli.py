@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, errors, determinism on a reduced scene."""
 
 import contextlib
+import dataclasses
 import filecmp
 import os
 import pickle
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -710,6 +712,97 @@ def test_sigterm_ends_a_forked_run_whole(fast_scene, tmp_path):
                 os.kill(pid, signal.SIGKILL)
         proc.stderr.close()
         proc.wait()
+
+
+def ended(pid):
+    """Whether process ``pid`` has ended: gone, or a zombie that its new
+    parent, not this process, has yet to reap."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+def test_the_child_of_a_sigkilled_caller_stops_before_its_next_file(tmp_path):
+    # SIGKILL to the caller of a GRT run once the run's first file is
+    # written: the caller cannot catch it, so its child finds itself
+    # re-parented before its next flux file, writes nothing more and ends.
+    # Each of its flux CSVs takes 1 s more, so at most the one file in
+    # flight at the kill appears afterwards.
+    scene = tmp_path / "long.scene"
+    scene.write_text(FAST_SCENE.replace("hours = 9.0, 12.0", "hours = 9.0, 10.0, 11.0, 12.0"),
+                     encoding="utf-8")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    log, out_dir = tmp_path / "pids", tmp_path / "out"
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_RUN, str(log), "run", str(scene),
+                             "--engine", "grt", "--out", str(out_dir)],
+                            stderr=subprocess.DEVNULL, env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while not (log.is_file() and len(log.read_text().split()) == 2
+                   and out_dir.is_dir() and os.listdir(out_dir)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        pids = [int(line) for line in log.read_text().split()]
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        at_kill = set(os.listdir(out_dir))
+        (child,) = set(pids) - {proc.pid}
+        deadline = time.monotonic() + 10.0
+        while not ended(child):
+            assert time.monotonic() < deadline, "the child outlived its caller"
+            time.sleep(0.01)
+        assert len(set(os.listdir(out_dir)) - at_kill) <= 1
+    finally:
+        for pid in pids:  # whatever of the run outlived it
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()
+
+
+def test_a_run_holds_one_mirror_groups_maps_when_it_writes(table1_config, tmp_path,
+                                                           monkeypatch):
+    # A conv run of 9 symmetric hours in this process.  The day course hands
+    # each case map to the writers as it composes it, so whenever a flux CSV
+    # is written only the maps of the current mirror group (a sun and its
+    # mirror image) are alive, however long the schedule.
+    made, alive = [], []
+    write_flux_csv = fileio.write_flux_csv
+
+    def tracked(function):
+        def making(*args, **kwargs):
+            flux_map = function(*args, **kwargs)
+            made.append(weakref.ref(flux_map))
+            return flux_map
+        return making
+
+    def counting(flux_map, path):
+        alive.append(sum(ref() is not None for ref in made))
+        write_flux_csv(flux_map, path)
+
+    for name in ("convolve_flux", "map_add"):
+        monkeypatch.setattr(metrics, name, tracked(getattr(metrics, name)))
+    monkeypatch.setattr(fileio, "write_flux_csv", counting)
+    scene = hf.with_overrides(table1_config, engine="conv", grid_cells=64, surface_samples=4,
+                              out_dir=str(tmp_path / "out"))
+    scene = dataclasses.replace(scene, schedule=tuple(
+        hf.ScheduleEntry(label=hf.hour_label(hour),
+                         position=hf.ideal_equinox_position(scene.site.latitude, hour))
+        for hour in map(float, range(8, 17))))
+    run(scene)
+    maps = len(scene.schedule) * len(metrics.VARIANTS) * len(scene.cases)
+    assert len(alive) == maps
+    # a group's convolved maps (two suns, every heliostat and twin, each
+    # variant) and the case maps of one time
+    heliostats = 2 * len(scene.heliostats)
+    bound = 2 * heliostats * len(metrics.VARIANTS) + len(scene.cases) * len(metrics.VARIANTS)
+    assert bound < maps
+    assert max(alive) <= bound, alive
 
 
 def test_a_conv_run_forks_no_process(fast_scene, tmp_path, monkeypatch):

@@ -233,6 +233,14 @@ def test_day_course_is_bit_identical_when_repeated(scene):
         assert np.array_equal(flux_map.values, second_maps[key].values)
     for key, peaks in first.peak.items():
         assert np.array_equal(peaks, second.peak[key])
+    # a callable collect_maps gets each key once, with the same maps, and
+    # the same report comes back alone
+    streamed = []
+    third = hf.day_course(scene, collect_maps=lambda key, flux_map: streamed.append(
+        (key, flux_map)))
+    assert sorted(key for key, _ in streamed) == sorted(first_maps)
+    assert same_entries(dict(streamed), first_maps)
+    assert same_entries(third, first)
 
 
 @PROPERTY
