@@ -192,7 +192,9 @@ def sunshape_radiance(model, rho):
         raise ValueError("rho outside [0, 1]")
     if model.kind == "pillbox":
         return np.ones_like(rho)
-    return 1.0 - model.limb_coefficient * rho ** 4
+    # rho^4 as two squares: numpy's float64 power takes its last bits from
+    # the host's SIMD level (AVX-512 and AVX2 differ), a product does not
+    return 1.0 - model.limb_coefficient * np.square(np.square(rho))
 
 
 def perpendicular_basis(axis):

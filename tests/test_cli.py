@@ -871,6 +871,64 @@ def test_two_runs_are_bit_identical(fast_scene, tmp_path):
                                shallow=False), name
 
 
+def simd_features():
+    """numpy's runtime-dispatched CPU features: {name: whether this host has it}."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return {name: umath.__cpu_features__.get(name, False) for name in umath.__cpu_dispatch__}
+
+
+# a run with the dispatched features that argv[1] names turned off, as
+# NPY_DISABLE_CPU_FEATURES names them; it first checks that numpy took them off
+RUN_WITHOUT = """
+import sys
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+assert not any(umath.__cpu_features__[name] for name in sys.argv[1].split())
+from helioflux import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_a_conv_run_writes_the_same_bytes_at_every_simd_level_above_avx2(tmp_path):
+    # Each run turns off, through NPY_DISABLE_CPU_FEATURES, one dispatched
+    # feature above AVX2 that this host has (on x86-64, the AVX-512 levels),
+    # and the last run all of them, so numpy takes its AVX2 paths.  The
+    # files must be those of a run with every feature on.  Below AVX2 the
+    # conv maps still differ in their last bits, through numpy itself.
+    above = [name for name, present in simd_features().items()
+             if present and (name.startswith("AVX512") or name == "X86_V4")]
+    if not above:
+        pytest.skip("this host's numpy dispatches no SIMD level above AVX2")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    outs = []
+    for turned_off in [""] + above + [" ".join(above)]:
+        outs.append(tmp_path / f"out{len(outs)}")
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_WITHOUT, turned_off, "run",
+             str(hf.table1_scene_path()), "--engine", "conv", "--grid", "128", "--samples",
+             "16", "--out", str(outs[-1])],
+            env=dict(env, NPY_DISABLE_CPU_FEATURES=turned_off), stderr=subprocess.PIPE,
+            text=True, timeout=120)
+        assert proc.returncode == 0, (turned_off, proc.stderr)
+    names = sorted(os.listdir(outs[0]))
+    assert len(names) == 5 * 2 * 2 * 2 + 4
+    for out, turned_off in zip(outs[1:], above + [" ".join(above)]):
+        assert sorted(os.listdir(out)) == names
+        _, mismatch, errors = filecmp.cmpfiles(outs[0], out, names, shallow=False)
+        # the manifest echoes the output directory; the rest of it is the same
+        assert (mismatch, errors) == (["manifest.txt"], []), turned_off
+        a, b = ([line for line in (d / "manifest.txt").read_text(encoding="utf-8").splitlines()
+                 if not line.startswith("run.out")] for d in (outs[0], out))
+        assert a == b, turned_off
+
+
 # --- configuration echo and command-line overrides --------------------------------
 
 MINIMAL_SCENE = """
