@@ -207,7 +207,8 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
                        for name, h in report.heliostats.items()}
 
     maps = {}
-    emit = collect_maps if callable(collect_maps) else collect_maps and maps.__setitem__
+    collected = bool(collect_maps) and not callable(collect_maps)
+    emit = maps.__setitem__ if collected else collect_maps
     for (case, variant) in ((c, v) for c in cases for v in variants):
         report.peak[(case, variant)] = np.zeros(len(schedule))
         report.intercepted[(case, variant)] = np.zeros(len(schedule))
@@ -284,6 +285,6 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
                     report.intercepted[(case, variant)][it] = intercepted_power(
                         case_maps[report.engine], scene.receiver.diameter)
 
-    if collect_maps and not callable(collect_maps):
+    if collected:
         return report, maps
     return report
