@@ -59,14 +59,20 @@ def test_validate_only_prints_echo(fast_scene, capsys):
     assert "run.engine = conv" in out
 
 
+def package_env(**variables):
+    """This process's environment with ``variables`` set, for a subprocess
+    that imports the package under test."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_validate_only_into_a_closed_pipe_is_no_error(unbuffered, fast_scene):
     # the reader of the echo closed its end before the first line: as with
     # `helioflux run SCENE --validate-only | true`, with stdout written line
     # by line or only at the final flush
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env = package_env(PYTHONUNBUFFERED=unbuffered)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -680,9 +686,7 @@ def test_sigterm_ends_a_forked_run_whole(fast_scene, tmp_path):
     # SIGTERM to the caller of a GRT run once the run's first file is
     # written: the run exits with 128 + SIGTERM, its child is killed and
     # reaped, every file of the run is removed, and none appears later
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env = package_env()
     log, out_dir = tmp_path / "pids", tmp_path / "out"
     proc = subprocess.Popen([sys.executable, "-c", SLOW_RUN, str(log), "run", fast_scene,
                              "--engine", "grt", "--out", str(out_dir)],
@@ -734,9 +738,7 @@ def test_the_child_of_a_sigkilled_caller_stops_before_its_next_file(tmp_path):
     scene = tmp_path / "long.scene"
     scene.write_text(FAST_SCENE.replace("hours = 9.0, 12.0", "hours = 9.0, 10.0, 11.0, 12.0"),
                      encoding="utf-8")
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env = package_env()
     log, out_dir = tmp_path / "pids", tmp_path / "out"
     proc = subprocess.Popen([sys.executable, "-c", SLOW_RUN, str(log), "run", str(scene),
                              "--engine", "grt", "--out", str(out_dir)],
@@ -904,9 +906,6 @@ def test_a_conv_run_writes_the_same_bytes_at_every_simd_level_above_avx2(tmp_pat
              if present and (name.startswith("AVX512") or name == "X86_V4")]
     if not above:
         pytest.skip("this host's numpy dispatches no SIMD level above AVX2")
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     outs = []
     for turned_off in [""] + above + [" ".join(above)]:
         outs.append(tmp_path / f"out{len(outs)}")
@@ -914,7 +913,7 @@ def test_a_conv_run_writes_the_same_bytes_at_every_simd_level_above_avx2(tmp_pat
             [sys.executable, "-c", RUN_WITHOUT, turned_off, "run",
              str(hf.table1_scene_path()), "--engine", "conv", "--grid", "128", "--samples",
              "16", "--out", str(outs[-1])],
-            env=dict(env, NPY_DISABLE_CPU_FEATURES=turned_off), stderr=subprocess.PIPE,
+            env=package_env(NPY_DISABLE_CPU_FEATURES=turned_off), stderr=subprocess.PIPE,
             text=True, timeout=120)
         assert proc.returncode == 0, (turned_off, proc.stderr)
     names = sorted(os.listdir(outs[0]))
