@@ -20,9 +20,9 @@ from .sun import (ScheduleEntry, SiteSpec, SunPosition, SunshapeModel,
                   sunshape_radiance)
 from .receiver import GridSpec, ReceiverSpec
 from .heliostat import (CantingSet, Facet, HeliostatSpec, ModuleLayout,
-                        OffAxisContext, canting_report, canting_table,
-                        module_centres, off_axis_canting, off_axis_context,
-                        realize_modules, spherical_canting)
+                        OffAxisContext, canting_law, canting_report,
+                        canting_table, module_centres, off_axis_canting,
+                        off_axis_context, realize_modules, spherical_canting)
 from .flux import (FluxMap, convolve_flux, geometric_spot, map_add, map_stats,
                    trace_flux_grt)
 from .metrics import (ConcentrationReport, concentration_ratio, day_course,

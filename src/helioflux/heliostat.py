@@ -5,7 +5,13 @@ Canting gives each module a pair of small fixed tilts (a, h) about the
 heliostat Z and Y axes.  "Spherical" canting makes the module normals
 coincide with a single sphere focused at the receiver distance; "off-axis"
 canting makes them tangent to the paraboloid whose focus is the receiver
-and whose axis is parallel to a fixed reference sun direction.
+and whose axis is parallel to a fixed reference sun direction.  Both are
+one linear law of the module centre (y, z) at focusing distance d:
+
+    a = y/(2d) A - z/(4d) S,    h = -y/(4d) S + z/(2d) C
+
+Spherical canting is (A, C, S) = (1, 1, 0); off-axis canting takes A, C
+and S from the reference sun (``off_axis_canting``).
 
 Angle bookkeeping: stored angles are physical mirror-normal rotations in
 radians.  A positive ``a`` tilts the module normal toward -Y, a positive
@@ -138,24 +144,26 @@ class CantingSet:
         self.h.setflags(write=False)
 
 
-def _sphere_slopes(layout, distance):
-    """Per-module (y/(2d), z/(2d)): the slopes of a sphere of curvature
-    radius 2d focused at ``distance`` d, which must be positive."""
+def canting_law(layout, distance, along, across, skew):
+    """Canting of the module docstring's law with coefficients (A, C, S) =
+    (``along``, ``across``, ``skew``), focused at ``distance`` d, which must
+    be positive."""
     if not distance > 0.0:
         raise ValueError("focusing distance must be positive")
-    y = np.repeat(layout.y[:, None], len(layout.z), axis=1)
-    z = np.repeat(layout.z[None, :], len(layout.y), axis=0)
-    return y / (2.0 * distance), z / (2.0 * distance)
+    y = layout.y[:, None] / (2.0 * distance)
+    z = layout.z[None, :] / (2.0 * distance)
+    # halving y/(2d) gives y/(4d) bit for bit
+    return CantingSet(a=y * along - z / 2.0 * skew, h=-y / 2.0 * skew + z * across)
 
 
 def spherical_canting(spec, layout, distance):
     """Canting that matches a monolithic sphere of focal length ``distance``.
 
     The local slope of a sphere of curvature radius 2d at lateral offset
-    (y, z) tilts the mirror normal by y/(2d) and z/(2d) toward the axis.
+    (y, z) tilts the mirror normal by y/(2d) and z/(2d) toward the axis:
+    the law at (A, C, S) = (1, 1, 0).
     """
-    a, h = _sphere_slopes(layout, distance)
-    return CantingSet(a=a, h=h)
+    return canting_law(layout, distance, 1.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -189,12 +197,11 @@ def off_axis_context(spec, sun0):
 def off_axis_canting(spec, layout, ctx, distance):
     """Canting tangent to the ideal paraboloid for the reference sun.
 
-    For each module centre (y, z):
+    The module docstring's law with
 
-        a =  y/(2d) (cos^2(i0) cos^2(phi) + sin^2(phi)) / cos(i0)
-             - z/(4d) sin(2 phi) sin^2(i0) / cos(i0)
-        h = -y/(4d) sin(2 phi) sin^2(i0) / cos(i0)
-             + z/(2d) (cos^2(i0) sin^2(phi) + cos^2(phi)) / cos(i0)
+        A = (cos^2(i0) cos^2(phi) + sin^2(phi)) / cos(i0)
+        C = (cos^2(i0) sin^2(phi) + cos^2(phi)) / cos(i0)
+        S = sin(2 phi) sin^2(i0) / cos(i0)
 
     which reduces to the spherical canting when the reference incidence i0
     vanishes.  Incidences with cos(i0) <= 0.5 sit outside the regime where
@@ -213,12 +220,7 @@ def off_axis_canting(spec, layout, ctx, distance):
     along = (cos_i0 * cos_i0 * cos_phi * cos_phi + sin_phi * sin_phi) / cos_i0
     across = (cos_i0 * cos_i0 * sin_phi * sin_phi + cos_phi * cos_phi) / cos_i0
     skew = math.sin(2.0 * ctx.phi) * sin_i0 * sin_i0 / cos_i0
-
-    # halving y/(2d) gives y/(4d) bit for bit
-    y_slope, z_slope = _sphere_slopes(layout, distance)
-    a = y_slope * along - z_slope / 2.0 * skew
-    h = -y_slope / 2.0 * skew + z_slope * across
-    return CantingSet(a=a, h=h)
+    return canting_law(layout, distance, along, across, skew)
 
 
 def canting_report(canting):

@@ -19,6 +19,8 @@ import pytest
 
 import helioflux as hf
 
+import table1_digest
+
 REF_SUN = hf.SunPosition(azimuth=0.0, elevation=44.63)
 
 GOLDEN_TILTS = {
@@ -285,3 +287,18 @@ def test_criterion_10_full_pipeline_determinism(tmp_path):
         assert len(names) == 84
         for name in names:
             assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False), name
+
+
+def test_table1_artifacts_match_their_checked_in_digest(tmp_path):
+    # The byte contract, checked in: every file of the bundled scene's run
+    # with both engines, by name and sha256, as tests/data/table1.sha256
+    # records them.  The FFT's last bits may change with numpy, so on another
+    # numpy version the test skips and says so; it never passes there.
+    numpy_version, expected = table1_digest.read_digest()
+    if np.__version__ != numpy_version:
+        pytest.skip(f"tests/data/table1.sha256 was made with numpy {numpy_version}, "
+                    f"this is numpy {np.__version__}")
+    actual = table1_digest.artifact_digests(tmp_path)
+    differ = sorted(name for name in expected.keys() | actual.keys()
+                    if expected.get(name) != actual.get(name))
+    assert not differ, f"files that differ from tests/data/table1.sha256: {differ}"

@@ -89,6 +89,18 @@ def test_spherical_canting_golden_values(scene_parts):
         assert reported[i - 1, j - 1, 1] == pytest.approx(row[1], abs=0.01)
 
 
+def law_by_module(layout, distance, along, across, skew):
+    """The canting law of ``hf.canting_law``, one module at a time in Python
+    floats: a = y/(2d) A - z/(4d) S and h = -y/(4d) S + z/(2d) C."""
+    a, h = [], []
+    for y in layout.y.tolist():
+        y = y / (2.0 * distance)
+        zs = [z / (2.0 * distance) for z in layout.z.tolist()]
+        a.append([y * along - z / 2.0 * skew for z in zs])
+        h.append([-y / 2.0 * skew + z * across for z in zs])
+    return np.array(a), np.array(h)
+
+
 def test_spherical_canting_centre_module_is_flat():
     spec = hf.HeliostatSpec(width=3.0, height=3.0, modules_across=3, modules_up=3,
                             module_width=1.0, module_height=1.0)
@@ -96,6 +108,28 @@ def test_spherical_canting_centre_module_is_flat():
     canting = hf.spherical_canting(spec, layout, 100.0)
     assert canting.a[1, 1] == 0.0
     assert canting.h[1, 1] == 0.0
+    # Both cantings are the law, bit for bit, module by module.  An odd
+    # module count puts a column or row of centres at 0.0, and every exact
+    # zero is +0.0, so no canting table prints a signed -0.000000.
+    for across, up in ((3, 3), (5, 1)):
+        spec = hf.HeliostatSpec(width=float(across), height=float(up), modules_across=across,
+                                modules_up=up, module_width=1.0, module_height=1.0)
+        layout = hf.module_centres(spec)
+        ctx = hf.off_axis_context(spec, REF_SUN)
+        cos_i0, sin_i0 = math.cos(ctx.incidence0), math.sin(ctx.incidence0)
+        cos_phi, sin_phi = math.cos(ctx.phi), math.sin(ctx.phi)
+        off_axis = ((cos_i0 * cos_i0 * cos_phi * cos_phi + sin_phi * sin_phi) / cos_i0,
+                    (cos_i0 * cos_i0 * sin_phi * sin_phi + cos_phi * cos_phi) / cos_i0,
+                    math.sin(2.0 * ctx.phi) * sin_i0 * sin_i0 / cos_i0)
+        for canting, coefficients in ((hf.spherical_canting(spec, layout, 100.0), (1.0, 1.0, 0.0)),
+                                      (hf.off_axis_canting(spec, layout, ctx, 100.0), off_axis)):
+            law = hf.canting_law(layout, 100.0, *coefficients)
+            a, h = law_by_module(layout, 100.0, *coefficients)
+            assert canting.a.tobytes() == law.a.tobytes() == a.tobytes()
+            assert canting.h.tobytes() == law.h.tobytes() == h.tobytes()
+            assert canting.a[across // 2, up // 2] == canting.h[across // 2, up // 2] == 0.0
+            for angles in (canting.a, canting.h):
+                assert not np.signbit(angles[angles == 0.0]).any()
 
 
 def test_report_doubles_the_mirror_rotation():
