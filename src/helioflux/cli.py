@@ -8,12 +8,13 @@ flux map (CSV and 16-bit graymap) per time/variant/case/engine, the
 concentration report, and a manifest echoing every effective parameter.
 Identical configurations produce bit-identical artifacts.  Each process
 writes a flux map's files as its day course composes the map, so it holds
-only the maps of the current mirror group, and writes the report and the
-manifest last.  A run whose engines include GRT forks one child with
-``os.fork`` where the platform can fork: the child computes and writes
-the off-axis variant while this process computes and writes the
-spherical one and the rest, and the child's report comes back pickled
-through one pipe; a conv run stays in this process.  This is the only
+only the current mirror group's traced and convolved maps, one time's case
+maps while it composes them and one 32 K-ray chunk of the ray loop, and
+writes the report and the manifest last.  A run whose engines include GRT
+forks one child with ``os.fork`` where the platform can fork: the child
+computes and writes the off-axis variant while this process computes and
+writes the spherical one and the rest, and the child's report comes back
+pickled through one pipe; a conv run stays in this process.  This is the only
 module that forks.  On failure the child is killed, the partial outputs
 are removed, a single-line ``error: ...`` goes to stderr and the exit
 status is nonzero.  SIGTERM during a run also kills the child and
@@ -49,7 +50,7 @@ def build_parser():
                      help="flux engine selection (default from the scene file)")
     run.add_argument("--out", metavar="DIR", help="output directory")
     run.add_argument("--grid", type=int, metavar="N", help="override grid cell count")
-    run.add_argument("--samples", type=int, metavar="N_S",
+    run.add_argument("--samples", type=int, metavar="N",
                      help="override facet surface samples per axis")
     run.add_argument("--validate-only", action="store_true",
                      help="validate and echo the configuration, write nothing")

@@ -62,12 +62,12 @@ class FluxMap:
 # few enough that a chunk's temporaries and its deposit stay in cache.
 # Chunks are whole sample rows, so the one-direction spot path traces a facet
 # in one chunk.  The chunk size does not change a map's bytes.  On table1's 10
-# GRT maps (2-core x86-64, numpy 2.4, medians of 6 alternating runs), serial
-# traces take 1.53 s at 16 K rays per chunk, 1.49 s at 32 K, 1.49 s at 64 K
-# and 1.67 s at 128 K; the two variants traced in two processes at once 0.86,
-# 0.79, 0.81 and 0.92 s.  On one core those took 1.16 s at 32 K and 1.15 s at
-# 64 K.
-_CHUNK_RAYS = 65536
+# GRT maps, each variant's 5 traced in its own forked process as a GRT run
+# does (2-core x86-64, numpy 2.4, medians of 12 rotations, the slower
+# process's trace time), the traces take 0.65 s at 16 K rays per chunk,
+# 0.55 s at 32 K, 0.55 s at 64 K and 0.65 s at 128 K.  A table1 chunk of
+# 28 x 1152 rays holds its buffers in ~1.1 MB at 32 K, half of 64 K's.
+_CHUNK_RAYS = 32768
 
 
 def _trace_spot(facets, sun_dirs, dir_weights, central_sun, grid, surface_samples):
@@ -196,7 +196,8 @@ def trace_flux_grt(facets, sun, shape, receiver, dni=1.0,
     s = sun_vector(sun)
     dirs, weights = cone_directions(shape, s, radial_nodes, azimuth_nodes)
     power, spilled = _trace_spot(facets, dirs, weights, s, grid, surface_samples)
-    return FluxMap(values=power / grid.cell_area, grid=grid, dni=dni, engine="grt",
+    power /= grid.cell_area  # in place: the accumulator becomes the map
+    return FluxMap(values=power, grid=grid, dni=dni, engine="grt",
                    sun=sun, heliostat_ids=tuple(heliostat_ids), spilled_power=dni * spilled)
 
 

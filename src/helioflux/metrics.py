@@ -185,8 +185,9 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
     convolution engine and the GRT maps feed the cross-engine RMS record.
     Each case map goes out once, as soon as it is composed, keyed
     (label, variant, case, engine).  A callable ``collect_maps`` is called
-    with each key and map, and the report alone is returned; the maps of a
-    mirror group are then held only while the group runs.  Any other true
+    with each key and map, and the report alone is returned; the traced and
+    convolved maps of a mirror group are then held only while the group
+    runs, and a time's case maps only while they are composed.  Any other true
     ``collect_maps`` collects every map into a dictionary, returned with the
     report.
     """
@@ -212,6 +213,25 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
     for (case, variant) in ((c, v) for c in cases for v in variants):
         report.peak[(case, variant)] = np.zeros(len(schedule))
         report.intercepted[(case, variant)] = np.zeros(len(schedule))
+
+    def compose(it, single, case, variant):
+        # One time's map of a case and variant per engine, its figures and
+        # the maps' RMS difference.  They are gone when this returns, so no
+        # composed map outlives its time into the next time's traces.
+        label, case_maps, peaks = schedule[it].label, {}, {}
+        for eng in engines:
+            combined = case_maps[eng] = functools.reduce(
+                map_add, (single[h.name][(variant, eng)] for h in members[case]))
+            peaks[eng] = concentration_ratio(combined)
+            if emit:
+                emit((label, variant, case, eng), combined)
+        if len(engines) == 2:
+            diff = case_maps["conv"].values - case_maps["grt"].values
+            rms = math.sqrt(float(np.square(diff, out=diff).mean()))
+            report.engine_rms[(label, variant, case)] = rms / peaks["grt"]
+        report.peak[(case, variant)][it] = peaks[report.engine]
+        report.intercepted[(case, variant)][it] = intercepted_power(
+            case_maps[report.engine], scene.receiver.diameter)
 
     # twin name -> its heliostat, whose GRT maps at the mirrored sun the
     # twin's maps are, with Y' reversed, wherever that sun is scheduled
@@ -254,8 +274,7 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
                     for variant, f in realized(h, sun).items()}
 
         for it in slots:
-            entry = schedule[it]
-            sun = entry.position
+            sun = schedule[it].position
             mirrored = replace(sun, azimuth=-sun.azimuth)
             single = {}  # drops the previous time's maps before computing new ones
             for name, h in report.heliostats.items():
@@ -270,20 +289,7 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
                         own[(variant, "conv")] = m
             for case in cases:
                 for variant in variants:
-                    case_maps, peaks = {}, {}
-                    for eng in engines:
-                        combined = case_maps[eng] = functools.reduce(
-                            map_add, (single[h.name][(variant, eng)] for h in members[case]))
-                        peaks[eng] = concentration_ratio(combined)
-                        if emit:
-                            emit((entry.label, variant, case, eng), combined)
-                    if len(engines) == 2:
-                        diff = case_maps["conv"].values - case_maps["grt"].values
-                        rms = math.sqrt(float((diff * diff).mean()))
-                        report.engine_rms[(entry.label, variant, case)] = rms / peaks["grt"]
-                    report.peak[(case, variant)][it] = peaks[report.engine]
-                    report.intercepted[(case, variant)][it] = intercepted_power(
-                        case_maps[report.engine], scene.receiver.diameter)
+                    compose(it, single, case, variant)
 
     if collected:
         return report, maps

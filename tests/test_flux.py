@@ -311,19 +311,32 @@ def test_a_chunk_holds_spilled_and_last_bin_rays():
 
 def test_ray_loop_memory_is_bounded_by_its_chunk():
     # 96^2 samples x 1152 directions is 10.6 M rays of one facet; per-ray
-    # buffers of the whole facet would take 170 MB
+    # buffers of the whole facet would take 170 MB.  A trace may hold one
+    # chunk's buffers (four float64 and two bool per ray), the accumulator,
+    # which becomes the map in place, and the facet's sample arrays (points,
+    # normals, their cell coordinates and doubled normals, 3 float64 per
+    # sample each; q and the central cosine, 1 each), plus 256 KB of slack
+    # for the cone's directions and numpy's ufunc buffers.  A second
+    # map-sized array (8 MB here) or a second set of chunk buffers exceeds it.
+    samples, cells = 96, 1024
     facet = reference_facets()[0]
-    facet.sample_grid(96)  # builds the cached facet-local grid outside the count
-    s = hf.sun_vector(hf.SunPosition(azimuth=0.0, elevation=44.63))
-    dirs, weights = hf.cone_directions(hf.SunshapeModel(), s, 24, 48)
-    grid = hf.GridSpec(extent=4.0, cells=256)
+    facet.sample_grid(samples)  # builds the cached facet-local grid outside the count
+    sun = hf.SunPosition(azimuth=0.0, elevation=44.63)
+    dirs, _ = hf.cone_directions(hf.SunshapeModel(), hf.sun_vector(sun), 24, 48)
+    receiver = hf.ReceiverSpec(grid=hf.GridSpec(extent=4.0, cells=cells))
+    chunk_rays = min(max(1, flux._CHUNK_RAYS // len(dirs)), samples * samples) * len(dirs)
+    bound = (chunk_rays * (4 * 8 + 2 * 1) + (cells * cells + 1) * 8
+             + samples * samples * (4 * 3 + 2) * 8 + 256 * 2**10)
     tracemalloc.start()
     try:
-        flux._trace_spot([facet], dirs, weights, s, grid, 96)
+        flux_map = flux.trace_flux_grt([facet], sun, hf.SunshapeModel(), receiver,
+                                       surface_samples=samples, radial_nodes=24,
+                                       azimuth_nodes=48)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert flux_map.values.shape == (cells, cells)
+    assert peak < bound, (peak, bound)
 
 
 def test_ray_loop_restores_numpy_state():

@@ -180,6 +180,46 @@ def test_a_day_course_frees_grt_maps_once_their_mirror_group_ends(table1_config,
     assert max(alive) <= 4, alive
 
 
+def test_a_day_course_frees_each_times_maps_before_it_traces_the_next(table1_config,
+                                                                      monkeypatch):
+    # The 9 symmetric hours above with both engines, into a sink that keeps
+    # only a weakref of each map.  When a GRT trace starts, every map emitted
+    # so far belongs to an earlier time.  The group's memo may still hold
+    # one, since a single case's map is its heliostat's traced or convolved
+    # map itself; no other may be alive.
+    trace, convolve = metrics.trace_flux_grt, metrics.convolve_flux
+    memo, emitted, stale = [], [], []
+
+    def held_by_memo(flux_map):
+        return any(ref() is flux_map for ref in memo)
+
+    def tracking(*args, **kwargs):
+        live = [ref() for ref in emitted]
+        stale.append(sum(m is not None and not held_by_memo(m) for m in live))
+        del live  # no map is held while the trace runs
+        flux_map = trace(*args, **kwargs)
+        memo.append(weakref.ref(flux_map))
+        return flux_map
+
+    def convolving(*args, **kwargs):
+        flux_map = convolve(*args, **kwargs)
+        memo.append(weakref.ref(flux_map))
+        return flux_map
+
+    monkeypatch.setattr(metrics, "trace_flux_grt", tracking)
+    monkeypatch.setattr(metrics, "convolve_flux", convolving)
+    scene = hf.with_overrides(table1_config, engine="both", grid_cells=64, surface_samples=4)
+    latitude = scene.site.latitude
+    scene = dataclasses.replace(scene, radial_nodes=2, azimuth_nodes=8, schedule=tuple(
+        hf.ScheduleEntry(label=hf.hour_label(hour),
+                         position=hf.ideal_equinox_position(latitude, hour))
+        for hour in map(float, range(8, 17))))
+    metrics.day_course(scene, collect_maps=lambda key, flux_map: emitted.append(
+        weakref.ref(flux_map)))
+    assert len(stale) == 18 and len(emitted) == 9 * 2 * 2 * 2
+    assert max(stale) == 0, stale
+
+
 def small_day(table1_config, engine):
     """The bundled scene's day on a coarse grid and quadrature."""
     return dataclasses.replace(hf.with_overrides(table1_config, engine=engine, grid_cells=64,
