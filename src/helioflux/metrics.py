@@ -151,9 +151,11 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
 
     Canting sets are computed once per heliostat from the scene reference
     sun and reused across all times.  A flux map depends only on the
-    heliostat and the sun, so each heliostat's facets are realized once per
-    (sun, variant), however often the schedule names that sun, and its conv
-    maps are convolved and its GRT maps traced from them once per sun.  The
+    heliostat and the sun, so one memo holds each engine's maps of a
+    (heliostat, sun), both variants' at once, and the schedule's times read
+    their members' maps from it: each heliostat's facets are realized once
+    per (sun, variant), however often the schedule names that sun, and its
+    maps are traced or convolved from them once per (sun, variant).  The
     variants share nothing but the canting sets, which are computed for
     every variant, so a day course of one variant gives, bit for bit, that
     variant's maps and figures of a day course of both; ``cli.run`` splits
@@ -168,11 +170,11 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
     by construction (``cone_directions``), so the mirrored sun's cone is the
     mirror image of the sun's at every node count.  So where a case adds
     twins and (-az, el) is exactly the position of a schedule entry, a
-    twin's GRT maps are its heliostat's there with Y' reversed; they
-    are traced everywhere else.  A sun, its mirror image and any repeat of
-    either run back to back, and the facets and GRT maps realized and
-    traced for them are held only while they run; the figures and maps are
-    keyed by time, so that order does not change them.  Maps are composed
+    twin's GRT maps are read from the memo as its heliostat's there with
+    Y' reversed; they are traced everywhere else.  A sun, its mirror image
+    and any repeat of either run back to back, and the facets and maps of
+    that group are held only while it runs; the figures and maps are keyed
+    by time, so that order does not change them.  Maps are composed
     into cases by cell-wise addition, so a pair map is exactly the sum of
     the maps of its members.
 
@@ -185,9 +187,9 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
     convolution engine and the GRT maps feed the cross-engine RMS record.
     Each case map goes out once, as soon as it is composed, keyed
     (label, variant, case, engine).  A callable ``collect_maps`` is called
-    with each key and map, and the report alone is returned; the traced and
-    convolved maps of a mirror group are then held only while the group
-    runs, and a time's case maps only while they are composed.  Any other true
+    with each key and map, and the report alone is returned; the memo's
+    maps of a mirror group are then held only while the group runs, and a
+    time's case maps only while they are composed.  Any other true
     ``collect_maps`` collects every map into a dictionary, returned with the
     report.
     """
@@ -210,28 +212,9 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
     maps = {}
     collected = bool(collect_maps) and not callable(collect_maps)
     emit = maps.__setitem__ if collected else collect_maps
-    for (case, variant) in ((c, v) for c in cases for v in variants):
+    for case, variant in itertools.product(cases, variants):
         report.peak[(case, variant)] = np.zeros(len(schedule))
         report.intercepted[(case, variant)] = np.zeros(len(schedule))
-
-    def compose(it, single, case, variant):
-        # One time's map of a case and variant per engine, its figures and
-        # the maps' RMS difference.  They are gone when this returns, so no
-        # composed map outlives its time into the next time's traces.
-        label, case_maps, peaks = schedule[it].label, {}, {}
-        for eng in engines:
-            combined = case_maps[eng] = functools.reduce(
-                map_add, (single[h.name][(variant, eng)] for h in members[case]))
-            peaks[eng] = concentration_ratio(combined)
-            if emit:
-                emit((label, variant, case, eng), combined)
-        if len(engines) == 2:
-            diff = case_maps["conv"].values - case_maps["grt"].values
-            rms = math.sqrt(float(np.square(diff, out=diff).mean()))
-            report.engine_rms[(label, variant, case)] = rms / peaks["grt"]
-        report.peak[(case, variant)][it] = peaks[report.engine]
-        report.intercepted[(case, variant)][it] = intercepted_power(
-            case_maps[report.engine], scene.receiver.diameter)
 
     # twin name -> its heliostat, whose GRT maps at the mirrored sun the
     # twin's maps are, with Y' reversed, wherever that sun is scheduled
@@ -255,41 +238,53 @@ def day_course(scene, collect_maps=False, variants=VARIANTS):
                                              report.cantings[h.name][variant], sun)
                     for variant in variants}
 
+        # The group's one map memo.  It does not call itself: a nested
+        # function that did would sit in a reference cycle with its closure
+        # and keep the last group's maps and facets alive after the day
+        # course returns, until the cyclic collector ran.
         @functools.cache
-        def traced(h, sun):
-            return {variant: trace_flux_grt(f, sun, scene.sunshape, scene.receiver,
-                                            dni=scene.dni,
-                                            surface_samples=scene.surface_samples,
-                                            radial_nodes=scene.radial_nodes,
-                                            azimuth_nodes=scene.azimuth_nodes,
-                                            heliostat_ids=(h.name,))
+        def engine_maps(h, sun, engine):
+            run, nodes = convolve_flux, {}
+            if engine == "grt":
+                run, nodes = trace_flux_grt, dict(radial_nodes=scene.radial_nodes,
+                                                  azimuth_nodes=scene.azimuth_nodes)
+            return {variant: run(f, sun, scene.sunshape, scene.receiver, dni=scene.dni,
+                                 surface_samples=scene.surface_samples,
+                                 heliostat_ids=(h.name,), **nodes)
                     for variant, f in realized(h, sun).items()}
 
-        @functools.cache
-        def convolved(h, sun):
-            return {variant: convolve_flux(f, sun, scene.sunshape, scene.receiver,
-                                           dni=scene.dni,
-                                           surface_samples=scene.surface_samples,
-                                           heliostat_ids=(h.name,))
-                    for variant, f in realized(h, sun).items()}
-
-        for it in slots:
-            sun = schedule[it].position
+        def mapped(h, sun, engine):
+            # one engine's maps of a member at a sun, keyed by variant: a
+            # twin's flipped GRT maps where the rule holds, else the memo's
             mirrored = replace(sun, azimuth=-sun.azimuth)
-            single = {}  # drops the previous time's maps before computing new ones
-            for name, h in report.heliostats.items():
-                own = single[name] = {}
-                if "grt" in engines:
-                    source = flips.get(name, h) if mirrored in positions else h
-                    for variant, m in traced(source, sun if source is h else mirrored).items():
-                        own[(variant, "grt")] = m if source is h else replace(
-                            m, values=m.values[::-1, :], sun=sun, heliostat_ids=(name,))
-                if "conv" in engines:
-                    for variant, m in convolved(h, sun).items():
-                        own[(variant, "conv")] = m
-            for case in cases:
-                for variant in variants:
-                    compose(it, single, case, variant)
+            if engine == "grt" and h.name in flips and mirrored in positions:
+                return {variant: replace(m, values=m.values[::-1, :], sun=sun,
+                                         heliostat_ids=(h.name,))
+                        for variant, m in engine_maps(flips[h.name], mirrored, engine).items()}
+            return engine_maps(h, sun, engine)
+
+        def compose(it, case, variant):
+            # One time's map of a case and variant per engine, its figures
+            # and the maps' RMS difference.  They are gone when this
+            # returns, so no composed map outlives its time into the next
+            # time's traces.
+            entry, case_maps, peaks = schedule[it], {}, {}
+            for eng in engines:
+                combined = case_maps[eng] = functools.reduce(
+                    map_add, (mapped(h, entry.position, eng)[variant] for h in members[case]))
+                peaks[eng] = concentration_ratio(combined)
+                if emit:
+                    emit((entry.label, variant, case, eng), combined)
+            if len(engines) == 2:
+                diff = case_maps["conv"].values - case_maps["grt"].values
+                rms = math.sqrt(float(np.square(diff, out=diff).mean()))
+                report.engine_rms[(entry.label, variant, case)] = rms / peaks["grt"]
+            report.peak[(case, variant)][it] = peaks[report.engine]
+            report.intercepted[(case, variant)][it] = intercepted_power(
+                case_maps[report.engine], scene.receiver.diameter)
+
+        for it, case, variant in itertools.product(slots, cases, variants):
+            compose(it, case, variant)
 
     if collected:
         return report, maps

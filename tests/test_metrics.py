@@ -243,6 +243,33 @@ def test_every_map_of_a_both_day_course_is_read_only(table1_config, monkeypatch)
         assert flux_map.values.flags.writeable is False
 
 
+def test_a_day_course_frees_every_map_by_the_time_it_returns(table1_config, monkeypatch):
+    # Reference counts alone free the last mirror group's memo: with the
+    # cyclic collector off, no map traced or convolved for a sink that keeps
+    # nothing is alive once the day course returns.  A memo in a reference
+    # cycle would hold that group's maps and facets until the collector ran.
+    made = []
+
+    def keeping(run):
+        def keep(*args, **kwargs):
+            flux_map = run(*args, **kwargs)
+            made.append(weakref.ref(flux_map))
+            return flux_map
+        return keep
+
+    monkeypatch.setattr(metrics, "trace_flux_grt", keeping(metrics.trace_flux_grt))
+    monkeypatch.setattr(metrics, "convolve_flux", keeping(metrics.convolve_flux))
+    gc.collect()
+    gc.disable()
+    try:
+        metrics.day_course(small_day(table1_config, "both"),
+                           collect_maps=lambda key, flux_map: None)
+        alive = sum(ref() is not None for ref in made)
+    finally:
+        gc.enable()
+    assert made and alive == 0
+
+
 @pytest.mark.parametrize("variants", [(), ("spherical", "spherical"), ("flat",),
                                       "off_axis", ("off_axis", "off_axis", "spherical")],
                          ids=["none", "repeated", "unknown", "string", "repeated_of_two"])

@@ -375,6 +375,30 @@ def test_a_conv_day_course_builds_one_kernel_per_heliostat_and_sun(scene, monkey
     assert calls["convolve_flux"] == 2 * calls["build_kernel"]
 
 
+@pytest.mark.parametrize("scene", [FLIPPED, REPEATED])
+def test_a_both_day_course_calls_each_engine_once_per_map_it_needs(scene, monkeypatch,
+                                                                   grt_traces):
+    # Both engines read one memo: the conv engine runs once per (heliostat or
+    # twin, distinct sun, variant), the GRT engine once per (h1, distinct sun,
+    # variant) and for a twin only at a sun whose mirror image is not
+    # scheduled (REPEATED's middle sun); elsewhere the twin's maps are flips.
+    convolve, convolved = metrics.convolve_flux, []
+
+    def counting(facets, sun, *args, **kwargs):
+        convolved.append((kwargs["heliostat_ids"], sun))
+        return convolve(facets, sun, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "convolve_flux", counting)
+    report = hf.day_course(scene)
+    entries = {entry.position: entry for entry in scene.schedule}.values()
+    assert collections.Counter(convolved) == collections.Counter(
+        {((name,), sun): len(VARIANTS) for name in report.heliostats for sun in suns(scene)})
+    assert collections.Counter(grt_traces()) == collections.Counter(
+        {((name,), entry.position): len(VARIANTS) for entry in entries
+         for name in ("h1", "h1_mirror")
+         if name == "h1" or flip_source(scene, entry) is None})
+
+
 @PROPERTY
 @given(scenes(shaped=True))
 def test_every_conv_map_equals_a_convolution_with_a_fresh_kernel(scene):
