@@ -34,7 +34,9 @@ DEFAULT_AZIMUTH_NODES = 48
 class FluxMap:
     """Irradiance on the receiver grid, in suns (flux density / DNI).
 
-    ``values`` is ``grid.cells`` x ``grid.cells`` on the square grid;
+    ``values`` is ``grid.cells`` x ``grid.cells`` on the square grid, and
+    a map whose values have any other shape raises ``ValueError``, so no
+    map is empty and maps on one grid add cell by cell.
     ``values[i, j]`` belongs to the cell centred at
     (y', z') = (grid.centres()[i], grid.centres()[j]).  ``spilled_power``
     is the traced power that missed the grid, in the same units as
@@ -50,6 +52,9 @@ class FluxMap:
     spilled_power: float = 0.0
 
     def __post_init__(self):
+        cells = (self.grid.cells, self.grid.cells)
+        if self.values.shape != cells:
+            raise ValueError(f"flux map values of shape {self.values.shape} on a {cells} grid")
         self.values.setflags(write=False)
 
     @property
@@ -329,14 +334,10 @@ def convolve_flux(facets, sun, shape, receiver, dni=1.0,
 
 def map_add(a, b):
     """Cell-wise sum of two maps of one engine, grid, DNI normalization and sun."""
-    if a.grid != b.grid:
-        raise GridMismatch("flux maps live on different grids")
-    if a.dni != b.dni:
-        raise GridMismatch("flux maps use different DNI normalizations")
-    if a.sun != b.sun:
-        raise GridMismatch("flux maps belong to different sun positions")
-    if a.engine != b.engine:
-        raise GridMismatch("flux maps come from different engines")
+    for name in ("grid", "dni", "sun", "engine"):
+        if getattr(a, name) != getattr(b, name):
+            raise GridMismatch(f"flux maps of different {name}s: "
+                               f"{getattr(a, name)!r} and {getattr(b, name)!r}")
     return replace(a, values=a.values + b.values, heliostat_ids=a.heliostat_ids + b.heliostat_ids,
                    spilled_power=a.spilled_power + b.spilled_power)
 
@@ -344,8 +345,6 @@ def map_add(a, b):
 def map_stats(flux_map):
     """Peak, total power, power-weighted centroid and spill fraction."""
     v = flux_map.values
-    if v.size == 0:
-        raise ValueError("empty flux map")
     centres = flux_map.grid.centres()
     total = flux_map.total_power
     peak = float(v.max())

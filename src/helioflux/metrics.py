@@ -36,8 +36,6 @@ def concentration_ratio(flux_map):
     not positive and finite (no representable power on the grid) raises
     HelioFluxError.
     """
-    if flux_map.values.size == 0:
-        raise ValueError("empty flux map")
     peak = float(flux_map.values.max())
     if not 0.0 < peak < math.inf:
         raise HelioFluxError(f"{flux_map.engine} map of {', '.join(flux_map.heliostat_ids)} "

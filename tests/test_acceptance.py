@@ -289,16 +289,29 @@ def test_criterion_10_full_pipeline_determinism(tmp_path):
             assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False), name
 
 
-def test_table1_artifacts_match_their_checked_in_digest(tmp_path):
+def check_table1_digest(workdir, azimuth_nodes):
     # The byte contract, checked in: every file of the bundled scene's run
-    # with both engines, by name and sha256, as tests/data/table1.sha256
-    # records them.  The FFT's last bits may change with numpy, so on another
-    # numpy version the test skips and says so; it never passes there.
-    numpy_version, expected = table1_digest.read_digest()
+    # with both engines, by name and sha256, as the digest file of its
+    # azimuth node count records them.  The FFT's last bits may change with
+    # numpy, so on another numpy version the test skips and says so; it never
+    # passes there.
+    path = table1_digest.DIGEST_PATHS[azimuth_nodes]
+    digest_name = f"tests/data/{os.path.basename(path)}"
+    numpy_version, expected = table1_digest.read_digest(path)
     if np.__version__ != numpy_version:
-        pytest.skip(f"tests/data/table1.sha256 was made with numpy {numpy_version}, "
+        pytest.skip(f"{digest_name} was made with numpy {numpy_version}, "
                     f"this is numpy {np.__version__}")
-    actual = table1_digest.artifact_digests(tmp_path)
+    actual = table1_digest.artifact_digests(workdir, azimuth_nodes)
     differ = sorted(name for name in expected.keys() | actual.keys()
                     if expected.get(name) != actual.get(name))
-    assert not differ, f"files that differ from tests/data/table1.sha256: {differ}"
+    assert not differ, f"files that differ from {digest_name}: {differ}"
+
+
+def test_table1_artifacts_match_their_checked_in_digest(tmp_path):
+    check_table1_digest(tmp_path, table1_digest.DEFAULT_AZIMUTH_NODES)
+
+
+def test_table1_artifacts_at_47_azimuth_nodes_match_their_checked_in_digest(tmp_path):
+    # an odd node count runs the sun cone's own node offset, and a twin's GRT
+    # maps are still its heliostat's flipped
+    check_table1_digest(tmp_path, 47)

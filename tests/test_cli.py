@@ -45,6 +45,12 @@ out = out
 """
 
 
+# the fast scene with a sun and its mirror image, and the pair case: every
+# twin GRT map is a flip of its heliostat's
+PAIRED_SCENE = FAST_SCENE.replace("hours = 9.0, 12.0", "hours = 9.0, 12.0, 15.0").replace(
+    "cases = single", "cases = single, symmetric_pair")
+
+
 @pytest.fixture
 def fast_scene(tmp_path):
     path = tmp_path / "fast.scene"
@@ -126,19 +132,27 @@ def test_run_records_engine_rms_with_both_engines(fast_scene, tmp_path):
         assert float(line.split(" = ")[1]) <= 0.02
 
 
-def test_a_conv_run_writes_the_conv_files_of_a_both_run(fast_scene, tmp_path):
-    # conv maps and the report they feed do not depend on the GRT maps traced
-    # beside them, half of them in the run's child; only the manifest names
-    # the engine
-    conv, both = str(tmp_path / "conv"), str(tmp_path / "both")
-    assert main(["run", fast_scene, "--engine", "conv", "--out", conv]) == 0
-    assert main(["run", fast_scene, "--engine", "both", "--out", both]) == 0
-    names = sorted(os.listdir(conv))
-    assert set(names) < set(os.listdir(both))
-    for name in names:
-        if name != "manifest.txt":
-            assert filecmp.cmp(os.path.join(conv, name), os.path.join(both, name),
-                               shallow=False), name
+# engine -> the files of its run that differ from a both run's: the manifest
+# names the engine, and the report reads the last engine, which is conv in a
+# both run
+OWN_FILES = {"conv": {"manifest.txt"}, "grt": {"manifest.txt", "concentration.csv"}}
+
+
+@pytest.mark.parametrize("engine", OWN_FILES)
+def test_a_one_engine_run_writes_its_engine_files_of_a_both_run(engine, tmp_path):
+    # neither engine's maps depend on the other's, traced or convolved beside
+    # them on the facets the day course realizes once per sun, half of them
+    # in the run's child; with the pair case every twin GRT map is a flip
+    scene = tmp_path / "paired.scene"
+    scene.write_text(PAIRED_SCENE, encoding="utf-8")
+    one, both = str(tmp_path / engine), str(tmp_path / "both")
+    assert main(["run", str(scene), "--engine", engine, "--out", one]) == 0
+    assert main(["run", str(scene), "--engine", "both", "--out", both]) == 0
+    names = set(os.listdir(one))
+    assert names < set(os.listdir(both))
+    for name in sorted(names - OWN_FILES[engine]):
+        assert filecmp.cmp(os.path.join(one, name), os.path.join(both, name),
+                           shallow=False), name
 
 
 def test_pgm_format(fast_scene, tmp_path):
@@ -434,12 +448,6 @@ def test_may_fork_says_no_beside_another_thread():
     with another_thread():
         assert not cli.may_fork()
     assert cli.may_fork()
-
-
-# the fast scene with a sun and its mirror image, and the pair case: every
-# twin GRT map is a flip of its heliostat's
-PAIRED_SCENE = FAST_SCENE.replace("hours = 9.0, 12.0", "hours = 9.0, 12.0, 15.0").replace(
-    "cases = single", "cases = single, symmetric_pair")
 
 
 @pytest.mark.parametrize("engine, text", [("both", FAST_SCENE), ("grt", FAST_SCENE),

@@ -604,8 +604,8 @@ def test_convolve_flux_with_every_ray_spilled_is_zero():
 
 def make_map(values, **kwargs):
     values = np.asarray(values, dtype=float)
-    grid = kwargs.pop("grid", hf.GridSpec(extent=1.0 * values.shape[0],
-                                          cells=values.shape[0]))
+    grid = kwargs.pop("grid", None) or hf.GridSpec(extent=1.0 * values.shape[0],
+                                                   cells=values.shape[0])
     defaults = dict(grid=grid, dni=1.0, engine="test",
                     sun=hf.SunPosition(azimuth=0.0, elevation=45.0),
                     heliostat_ids=("t",), spilled_power=0.0)
@@ -673,13 +673,17 @@ def test_map_stats_of_a_zero_map():
     assert all(math.isnan(c) for c in stats["centroid"])
 
 
-def test_map_stats_rejects_empty():
-    empty = hf.FluxMap(values=np.zeros((0, 0)), grid=hf.GridSpec(),
-                       dni=1.0, engine="test",
-                       sun=hf.SunPosition(azimuth=0.0, elevation=45.0),
-                       heliostat_ids=())
-    with pytest.raises(ValueError):
-        hf.map_stats(empty)
+def test_a_flux_map_covers_its_grid():
+    # a (1, 4) map would broadcast onto a (4, 4) one in map_add, and an empty
+    # one has no peak for map_stats or concentration_ratio to read
+    grid = hf.GridSpec(4.0, 4)
+    with pytest.raises(ValueError, match=r"\(1, 4\) on a \(4, 4\) grid"):
+        make_map(np.zeros((1, 4)), grid=grid)
+    with pytest.raises(ValueError, match=r"\(0, 0\) on a \(256, 256\) grid"):
+        make_map(np.zeros((0, 0)), grid=hf.GridSpec())
+    # a map derived from a whole one is checked too
+    with pytest.raises(ValueError, match=r"\(4, 2\) on a \(4, 4\) grid"):
+        dataclasses.replace(make_map(np.zeros((4, 4))), values=np.zeros((4, 2)))
 
 
 def test_map_total_power_reference_scene():
