@@ -55,8 +55,7 @@ def write_canting_csv(layout, spherical, off_axis, path):
         fh.write("# module tilt angles, reported convention "
                  "(2x mirror-normal rotation), mrad\n")
         fh.write("i,j,spherical_a,spherical_h,offaxis_a,offaxis_h,delta_a,delta_h\n")
-        for i, j, sa, sh, oa, oh, da, dh in rows:
-            fh.write(f"{i},{j},{sa:.6f},{sh:.6f},{oa:.6f},{oh:.6f},{da:.6f},{dh:.6f}\n")
+        fh.writelines("%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n" % row for row in rows)
 
 
 def write_concentration_csv(report, path):

@@ -234,16 +234,10 @@ def canting_table(layout, spherical, off_axis):
     Row order: j (rows of modules) outermost, i innermost, both ascending,
     matching the conventional presentation of tilt tables.
     """
-    sph = canting_report(spherical)
-    oa = canting_report(off_axis)
-    rows = []
-    for j in range(len(layout.z)):
-        for i in range(len(layout.y)):
-            rows.append((i + 1, j + 1,
-                         sph[i, j, 0], sph[i, j, 1],
-                         oa[i, j, 0], oa[i, j, 1],
-                         oa[i, j, 0] - sph[i, j, 0], oa[i, j, 1] - sph[i, j, 1]))
-    return rows
+    sph, oa = canting_report(spherical), canting_report(off_axis)
+    angles = np.concatenate((sph, oa, oa - sph), axis=-1)
+    return [(i + 1, j + 1, *angles[i, j].tolist())
+            for j in range(len(layout.z)) for i in range(len(layout.y))]
 
 
 def _rot_z(angle):

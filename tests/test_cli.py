@@ -205,6 +205,39 @@ def test_flux_csv_rows_match_the_dense_formatter(values, tmp_path):
     assert header.count("\n") == 7
 
 
+# mirror-normal rotations whose reported angles (2000x) are exact zeros or
+# round to +-0.000000
+SIGNED_ZEROS = (0.0, -0.0, 2e-10, -2e-10)
+
+
+@pytest.mark.parametrize("modules", [(1, 1), (1, 5), (6, 1), (2, 3), (4, 2), (6, 6)],
+                         ids=lambda shape: "%dx%d" % shape)
+def test_canting_csv_rows_match_the_per_column_formatter(modules, tmp_path):
+    m, n = modules
+    rng = np.random.default_rng(10 * m + n)
+    layout = hf.ModuleLayout(y=rng.uniform(-2.0, 2.0, m), z=rng.uniform(-2.0, 2.0, n))
+    path = tmp_path / "canting.csv"
+    for shift in range(len(SIGNED_ZEROS)):
+        # (variant, axis, module): module (1, 1) is uncanted in the spherical
+        # variant, so its off-axis signed zeros reach the delta columns too
+        angles = rng.uniform(-0.09, 0.09, (2, 2, m * n))
+        angles[0, :, 0] = 0.0
+        angles[1, :, 0] = np.roll(SIGNED_ZEROS, shift)[:2]
+        spherical, off_axis = (hf.CantingSet(a=a.reshape(m, n), h=h.reshape(m, n))
+                               for a, h in angles)
+        fileio.write_canting_csv(layout, spherical, off_axis, str(path))
+        sph, oa = hf.canting_report(spherical), hf.canting_report(off_axis)
+        expected = "".join(
+            f"{i + 1},{j + 1},{sph[i, j, 0]:.6f},{sph[i, j, 1]:.6f},"
+            f"{oa[i, j, 0]:.6f},{oa[i, j, 1]:.6f},"
+            f"{oa[i, j, 0] - sph[i, j, 0]:.6f},{oa[i, j, 1] - sph[i, j, 1]:.6f}\n"
+            for j in range(n) for i in range(m))
+        assert "-0.000000" in expected and ",0.000000" in expected
+        assert path.read_text(encoding="utf-8") == (
+            "# module tilt angles, reported convention (2x mirror-normal rotation), mrad\n"
+            "i,j,spherical_a,spherical_h,offaxis_a,offaxis_h,delta_a,delta_h\n" + expected)
+
+
 def test_pgm_of_a_zero_map_is_black(tmp_path):
     zero = hf.FluxMap(values=np.zeros((4, 4)), grid=hf.GridSpec(4.0, 4), dni=1.0,
                       engine="conv", sun=hf.SunPosition(azimuth=0.0, elevation=45.0),

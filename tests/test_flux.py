@@ -658,6 +658,9 @@ def test_map_stats_uniform_and_delta():
     assert stats["total_power"] == pytest.approx(1.0, abs=1e-12)
     assert stats["centroid"] == (pytest.approx(0.0, abs=1e-12),
                                  pytest.approx(0.0, abs=1e-12))
+    # the spill fraction is of all the power, on the grid and off it
+    spilling = make_map(np.ones((2, 2)), grid=hf.GridSpec(1.0, 2), spilled_power=3.0)
+    assert hf.map_stats(spilling)["spill_fraction"] == 0.75
 
     values = np.zeros((4, 4))
     values[3, 1] = 5.0

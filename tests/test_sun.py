@@ -194,6 +194,12 @@ def test_limb_darkened_radiance_profile():
     values = hf.sunshape_radiance(model, rho)
     assert np.all(values >= 0.0)
     assert np.all(np.diff(values) <= 0.0)
+    # B = 1 - c4 rho^4 at interior rho, bit for bit: rho^4 as the square of
+    # rho^2, since c4 * (r * r) * (r * r) differs in the last bit
+    for c4 in (0.0, 0.5138, 1.0):
+        model = hf.SunshapeModel(kind="limb_darkened", limb_coefficient=c4)
+        for r in (0.05, 0.25, 0.5, 0.7, 0.95):
+            assert hf.sunshape_radiance(model, r) == 1.0 - c4 * ((r * r) * (r * r))
 
 
 def test_radiance_rejects_rho_outside_unit_interval():
